@@ -305,6 +305,11 @@ def run_oracle_command(config: ExperimentConfig) -> dict:
     p = config.params
     with open(p["path"], "r", encoding="utf-8") as stream:
         f = cube.read_truth_table(stream)
+    if (f.n, f.field.p) != (p["n"], p["p"]):
+        raise ValueError(
+            f"table header says n={f.n} p={f.field.p}, "
+            f"but --n {p['n']} --p {p['p']} was given"
+        )
     delta, nearest = oracle.exact_delta_d(f, p["d"])
     buffer = io.StringIO()
     write_poly(nearest, buffer)
@@ -317,8 +322,15 @@ def run_oracle_command(config: ExperimentConfig) -> dict:
 # --- output -------------------------------------------------------------
 
 
+def _param_text(value) -> str:
+    """A parameter as one whitespace-free token; fractions print as p/q."""
+    if isinstance(value, list):
+        return "[" + ",".join(map(str, value)) + "]"
+    return str(value)
+
+
 def _params_line(config: ExperimentConfig) -> str:
-    parts = [f"{key}={value}" for key, value in sorted(config.params.items())]
+    parts = [f"{key}={_param_text(value)}" for key, value in sorted(config.params.items())]
     parts.append(f"trials={config.trials}")
     parts.append(f"seed={config.master_seed}")
     return f"# gridcode {config.subcommand} " + " ".join(parts)
@@ -477,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     sub = args.subcommand
+    if args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     if sub == "test":
         params = {
             "n": args.n,

@@ -203,4 +203,7 @@ def read_truth_table(stream) -> CubeFunction:
     tokens = stream.read().split()
     field = PrimeField(p)
     values = [int(t) for t in tokens]
+    for v in values:
+        if not 0 <= v < p:
+            raise ValueError(f"residue {v} is outside [0, {p})")
     return CubeFunction(n, field, values)

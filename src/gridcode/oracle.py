@@ -2,8 +2,10 @@
 
 Everything here is an exact oracle backing the Monte Carlo experiments: the
 code F(k, d) is enumerated codeword by codeword (all p^C(k,<=d) coefficient
-vectors in lexicographic order) and distances are exact fractions.  Budgets
-are hard errors, never silent approximations.
+vectors in lexicographic order) and distances are exact fractions.  For
+d = 1 over F_2, ``exact_delta_d`` reads every codeword's distance off a
+Walsh-Hadamard transform instead, with the same result.  Budgets are hard
+errors, never silent approximations.
 """
 
 from __future__ import annotations
@@ -22,6 +24,32 @@ _CACHE_BYTE_LIMIT = 1 << 28
 _matrix_cache: dict = {}
 
 _BLOCK_ROWS = 1 << 13
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a + b) mod p for residue arrays of one dtype, without widening."""
+    if p == 2:
+        return a ^ b
+    s = a + b
+    if s.dtype == np.uint8 and p <= 128:
+        # s < 2p <= 256 does not wrap; s - p wraps above s exactly when s < p.
+        return np.minimum(s, s - np.uint8(p), out=s)
+    return np.where(a >= p - b, s - p, s)
+
+
+def _span_values(mono: np.ndarray, p: int) -> np.ndarray:
+    """Values of every combination sum(c_j * mono[j]) mod p, one row each.
+
+    Rows follow base-p order of (c_1, ..., c_r) with c_1 most significant,
+    matching CodeEnumeration's index order over these monomials.
+    """
+    if len(mono) == 0:
+        return np.zeros((1, mono.shape[1]), dtype=mono.dtype)
+    steps = np.arange(p, dtype=mono.dtype)[None, :, None] * mono[:, None, :]
+    values = steps[0]
+    for step in steps[1:]:
+        values = _add_mod(values[:, None, :], step, p).reshape(-1, mono.shape[1])
+    return values
 
 
 class CodeEnumeration:
@@ -76,32 +104,39 @@ class CodeEnumeration:
         mono = np.asarray(self.monomials, dtype=np.int64)
         return ((pts[None, :] & mono[:, None]) == mono[:, None]).astype(np.int64)
 
-    def _coefficient_block(self, start: int, stop: int) -> np.ndarray:
-        shape = (self.field.p,) * self.dimension
-        return np.stack(
-            np.unravel_index(np.arange(start, stop), shape), axis=1
-        ).astype(np.int64)
-
     def iter_value_blocks(self, points, block_rows: int = _BLOCK_ROWS):
         """Yield (start_index, values) with values of shape (rows, len(points)).
 
         Scanning blocks in order visits coefficient vectors lexicographically
-        while keeping memory bounded.
+        while keeping memory bounded.  The code is linear, so the rows of
+        one block are a fixed table over the ``low`` least significant digits
+        plus the values of the block's high-digit prefix; blocks hold p^low
+        rows with p^low <= block_rows.
         """
         points = list(points)
-        mono = self.monomial_matrix(points)
         p = self.field.p
         dtype = np.uint8 if p < 256 else np.int64
-        for start in range(0, self.size, block_rows):
-            stop = min(start + block_rows, self.size)
-            block = (self._coefficient_block(start, stop) @ mono) % p
-            yield start, block.astype(dtype)
+        mono = self.monomial_matrix(points).astype(dtype)
+        low = 0
+        while low < self.dimension and p ** (low + 1) <= block_rows:
+            low += 1
+        high = self.dimension - low
+        suffix = _span_values(mono[high:], p)
+        if high == 0:
+            yield 0, suffix
+            return
+        for h, prefix in enumerate(_span_values(mono[:high], p)):
+            yield h * len(suffix), _add_mod(suffix, prefix, p)
 
     def value_matrix(self, points) -> np.ndarray:
         """All codeword values on the given points, rows in index order."""
         points = list(points)
-        blocks = [b for _, b in self.iter_value_blocks(points)]
-        return np.concatenate(blocks, axis=0)
+        matrix = None
+        for start, block in self.iter_value_blocks(points):
+            if matrix is None:
+                matrix = np.empty((self.size, len(points)), dtype=block.dtype)
+            matrix[start:start + len(block)] = block
+        return matrix
 
     def cached_full_matrix(self) -> np.ndarray | None:
         """Value matrix over the entire cube, or None if it would be too big."""
@@ -152,6 +187,27 @@ def _min_disagreement(code: CodeEnumeration, points, table: np.ndarray,
     return best_index, best_count
 
 
+def _walsh_hadamard_nearest(table: np.ndarray, n: int) -> tuple[int, int]:
+    """(best codeword index, disagreement count) for d = 1 over F_2.
+
+    With S the Walsh-Hadamard transform of (-1)^f, the codeword c + a.x
+    disagrees with f on (2^n - (-1)^c S[a]) / 2 points.  Its index is
+    c 2^n + bitreverse_n(a), since a_1 (bit 0 of a) is the most significant
+    linear digit; taking the first minimum in index order keeps the
+    tie-break of ``_min_disagreement``.  O(n 2^n).
+    """
+    spectrum = 1 - 2 * table.astype(np.int64)
+    for i in range(n):
+        view = spectrum.reshape(-1, 2, 1 << i)
+        a, b = view[:, 0, :].copy(), view[:, 1, :].copy()
+        view[:, 0, :] = a + b
+        view[:, 1, :] = a - b
+    by_index = spectrum.reshape((2,) * n).T.ravel()
+    counts = np.concatenate(((1 << n) - by_index, (1 << n) + by_index)) // 2
+    best = int(np.argmin(counts))
+    return best, int(counts[best])
+
+
 def exact_delta_d(f: CubeFunction, d: int, budget: int = 10**7):
     """Exact distance from f to the degree-d code, with the nearest codeword.
 
@@ -161,7 +217,10 @@ def exact_delta_d(f: CubeFunction, d: int, budget: int = 10**7):
     code = CodeEnumeration(f.n, d, f.field, budget=budget)
     dtype = np.uint8 if f.field.p < 256 else np.int64
     table = np.asarray(f.values, dtype=dtype)
-    best, count = _min_disagreement(code, range(1 << f.n), table)
+    if d == 1 and f.field.p == 2:
+        best, count = _walsh_hadamard_nearest(table, f.n)
+    else:
+        best, count = _min_disagreement(code, range(1 << f.n), table)
     return Fraction(count, 1 << f.n), code.poly_at(best)
 
 

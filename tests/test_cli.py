@@ -151,3 +151,64 @@ def test_budget_error_exits_nonzero(capsys):
 def test_unknown_flags_rejected():
     with pytest.raises(SystemExit):
         main(["test", "--bogus", "1"])
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("3 3\n0 1 2 5 0 1 2 0\n", ["--n", "2", "--p", "2"], "residue 5"),
+        ("3 3\n0 1 2 2 0 1 2 0\n", ["--n", "2", "--p", "2"], "header"),
+        ("2 3\n0 1 2 1\n", ["--n", "2", "--p", "2"], "header"),
+        ("2 2\n0 1 1 0\n", ["--n", "3", "--p", "2"], "header"),
+        ("2 3\n0 1 3 1\n", ["--n", "2", "--p", "3"], "residue"),
+        ("2 3\n0 1 -1 1\n", ["--n", "2", "--p", "3"], "residue"),
+        ("2 2\n0 1 1\n", ["--n", "2", "--p", "2"], "expected 4 values"),
+        ("2 2\n0 1 1 0 1\n", ["--n", "2", "--p", "2"], "expected 4 values"),
+    ],
+)
+def test_oracle_rejects_mismatched_or_out_of_range_input(tmp_path, capsys, text, flags,
+                                                         message):
+    path = tmp_path / "bad.tt"
+    path.write_text(text, encoding="utf-8")
+    code = main(["oracle", "--d", "1", "--in", str(path)] + flags
+                + ["--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--n", "8", "--d", "1", "--k", "3", "--delta", "0.1"],
+        ["decode", "--n", "8", "--d", "1", "--delta", "0"],
+        ["tolerant", "--n", "9", "--d", "1", "--delta1", "0.02", "--delta2", "0.2",
+         "--delta", "0"],
+        ["buckets", "--r", "5", "--k", "2"],
+        ["span", "--n", "24", "--s", "4", "--t", "2"],
+        ["witness", "--k", "4", "--d", "1"],
+        ["oracle", "--n", "2", "--d", "1", "--in", "unread.tt"],
+    ],
+)
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_rejected(capsys, argv, trials):
+    code = main(argv + ["--trials", trials])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --trials must be positive, got {trials}\n"
+
+
+def test_csv_header_prints_fractions(tmp_path):
+    out = run_cli(
+        ["test", "--n", "8", "--d", "1", "--k", "3", "--p", "2",
+         "--delta", "0", "0.01", "0.05", "0.15", "--trials", "4", "--seed", "1"],
+        tmp_path / "f.csv",
+    )
+    header = out.splitlines()[0]
+    tokens = header.split()
+    assert tokens[:3] == ["#", "gridcode", "test"]
+    assert all(token.count("=") == 1 for token in tokens[3:])
+    assert "deltas=[0,1/100,1/20,3/20]" in tokens

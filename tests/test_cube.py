@@ -184,3 +184,11 @@ def test_signed_cube_function_coordinate_sum():
     assert f.coordinate_sum(0b0011) == 0
     g = SignedCubeFunction(4, None, [0] + list(range(1, 16)))
     assert signed_distance(f, g) == 0
+
+
+@pytest.mark.parametrize("body", ["0 1 3 1", "0 1 -1 1", "0 1 9 1"])
+def test_read_truth_table_rejects_out_of_range_residues(body):
+    with pytest.raises(ValueError, match="residue"):
+        read_truth_table(io.StringIO("2 3\n" + body + "\n"))
+    # The library constructor keeps reducing raw values mod p.
+    assert CubeFunction(2, F3, [int(v) for v in body.split()]).values[2] in range(3)

@@ -2,12 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridcode.cube import CubeFunction, corrupt, distance
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
-from gridcode.oracle import CodeEnumeration, certify_far, exact_delta_d
+from gridcode.oracle import CodeEnumeration, _min_disagreement, certify_far, exact_delta_d
 from gridcode.poly import MultilinearPoly, from_truth_table, random_poly
 
 F2 = PrimeField(2)
@@ -125,3 +126,78 @@ def test_iterating_code_yields_all_polys():
     polys = list(code)
     assert len(polys) == 8
     assert len({tuple(sorted(p.coeffs.items())) for p in polys}) == 8
+
+
+def _brute_force_nearest(f):
+    """(delta, nearest) by scanning all 2^(n+1) degree-1 codewords over F_2."""
+    code = CodeEnumeration(f.n, 1, F2)
+    table = np.asarray(f.values, dtype=np.uint8)
+    best, count = _min_disagreement(code, range(1 << f.n), table)
+    return Fraction(count, 1 << f.n), code.poly_at(best)
+
+
+def _degree_one_tables():
+    """Every table for n <= 3, then seeded tables for 4 <= n <= 10: uniform
+    (many ties), planted codewords, and planted codewords with up to half
+    of the points flipped."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield CubeFunction(n, F2, [(bits >> x) & 1 for x in range(1 << n)])
+    rng = random.Random(60)
+    for i in range(210):
+        n = 4 + i % 7
+        kind = (i // 7) % 3
+        if kind == 0:
+            yield CubeFunction.random(n, F2, rng)
+            continue
+        f = random_poly(n, 1, F2, rng).truth_table()
+        if kind == 2:
+            f = corrupt(f, Fraction(rng.randrange((1 << n) // 2 + 1), 1 << n), rng)
+        yield f
+
+
+def test_degree_one_fast_path_matches_brute_force():
+    count = 0
+    for f in _degree_one_tables():
+        assert exact_delta_d(f, 1) == _brute_force_nearest(f), f.values
+        count += 1
+    assert count == 4 + 16 + 256 + 210
+
+
+def test_degree_one_fast_path_keeps_budget_guard():
+    f = CubeFunction.constant(10, F2)
+    with pytest.raises(BudgetExceededError):
+        exact_delta_d(f, 1, budget=(1 << 11) - 1)
+    assert exact_delta_d(f, 1, budget=1 << 11)[0] == 0
+
+
+def _reference_values(code, points):
+    """Codeword values by the coefficient-vector product, rows in index order."""
+    p = code.field.p
+    shape = (p,) * code.dimension
+    coeffs = np.stack(np.unravel_index(np.arange(code.size), shape), axis=1)
+    values = (coeffs.astype(np.int64) @ code.monomial_matrix(points)) % p
+    return values.astype(np.uint8 if p < 256 else np.int64)
+
+
+@pytest.mark.parametrize(
+    "k, d, p",
+    [(5, 2, 2), (7, 1, 3), (4, 2, 3), (3, 2, 5), (5, 1, 7), (1, 1, 131), (1, 1, 257)],
+)
+def test_value_blocks_match_reference(k, d, p):
+    code = CodeEnumeration(k, d, PrimeField(p))
+    full = list(range(1 << k))
+    sparse = full[1::3] if k > 1 else [1]
+    for points in (full, sparse):
+        expected = _reference_values(code, points)
+        for block_rows in (4, None):
+            kwargs = {} if block_rows is None else {"block_rows": block_rows}
+            starts, blocks = [], []
+            for start, block in code.iter_value_blocks(points, **kwargs):
+                starts.append(start)
+                blocks.append(block)
+            assert len(blocks) > 1 or code.size <= 8192
+            assert starts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+            rows = np.concatenate(blocks)
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected)
