@@ -39,11 +39,15 @@ class ExperimentConfig:
 
 
 def thread_count() -> int:
+    """Worker processes from GRIDCODE_THREADS (default 1); must be positive."""
     raw = os.environ.get("GRIDCODE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"GRIDCODE_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _chunks(trials: int, pieces: int) -> list[tuple[int, int]]:
@@ -491,6 +495,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     sub = args.subcommand
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if not 0 <= args.seed < 2**63:
+        raise ValueError(f"--seed must be in [0, 2^63), got {args.seed}")
     if sub == "test":
         params = {
             "n": args.n,
@@ -560,6 +566,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        thread_count()  # reject a malformed GRIDCODE_THREADS whether or not it is used
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,29 @@ from .restrict import Restriction
 MAX_VARIABLES = 30
 
 
+def _to_residues(values: list, p: int) -> list:
+    """Reduce a non-empty value list to residues in [0, p), in place.
+
+    FieldElements of F_p are unwrapped and other values outside [0, p) are
+    reduced mod p; a FieldElement of another modulus raises ValueError.  A
+    list already in range is returned after one C-speed min/max check;
+    FieldElements have no ordering, so a list holding one takes the loop.
+    """
+    try:
+        if 0 <= min(values) and max(values) < p:
+            return values
+    except TypeError:
+        pass
+    for i, v in enumerate(values):
+        if isinstance(v, FieldElement):
+            if v.field.p != p:
+                raise ValueError("value modulus mismatch")
+            values[i] = v.residue
+        elif not 0 <= v < p:
+            values[i] = v % p
+    return values
+
+
 class CubeFunction:
     """Dense truth table of a function on the Boolean cube."""
 
@@ -27,17 +50,9 @@ class CubeFunction:
         values = list(values)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
-        p = field.p
-        for i, v in enumerate(values):
-            if isinstance(v, FieldElement):
-                if v.field.p != p:
-                    raise ValueError("value modulus mismatch")
-                values[i] = v.residue
-            elif not 0 <= v < p:
-                values[i] = v % p
         self.n = n
         self.field = field
-        self.values = values
+        self.values = _to_residues(values, field.p)
 
     @classmethod
     def constant(cls, n: int, field: PrimeField, value: int = 0) -> "CubeFunction":
@@ -153,14 +168,7 @@ class SignedCubeFunction:
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
         if field is not None:
-            p = field.p
-            for i, v in enumerate(values):
-                if isinstance(v, FieldElement):
-                    if v.field.p != p:
-                        raise ValueError("value modulus mismatch")
-                    values[i] = v.residue
-                elif not 0 <= v < p:
-                    values[i] = v % p
+            values = _to_residues(values, field.p)
         self.n = n
         self.field = field
         self.values = values

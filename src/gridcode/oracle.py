@@ -155,6 +155,16 @@ class CodeEnumeration:
             yield self.poly_at(index)
 
 
+def _weighted_counts(mask: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row sums of ``weights`` over the True entries of ``mask``, as int64.
+
+    The product runs in float64, which numpy hands to BLAS (its int64 matmul
+    is a plain loop).  It is exact: the weights are sample multiplicities,
+    so every total is at most the sample length, far below 2^53.
+    """
+    return (mask.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
+
+
 def _min_disagreement(code: CodeEnumeration, points, table: np.ndarray,
                       weights: np.ndarray | None = None) -> tuple[int, int]:
     """(best codeword index, weighted disagreement count) over the code.
@@ -178,7 +188,7 @@ def _min_disagreement(code: CodeEnumeration, points, table: np.ndarray,
         if weights is None:
             counts = np.count_nonzero(neq, axis=1)
         else:
-            counts = neq.astype(np.int64) @ weights
+            counts = _weighted_counts(neq, weights)
         local = int(np.argmin(counts))
         count = int(counts[local])
         if best_count is None or count < best_count:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .cube import CubeFunction
 from .field import FieldElement, PrimeField
 
@@ -75,17 +77,21 @@ class MultilinearPoly:
         return FieldElement(self.evaluate_residue(x_mask), self.field)
 
     def truth_table(self) -> CubeFunction:
-        """Dense evaluation over the whole cube via the zeta transform."""
+        """Dense evaluation over the whole cube via the subset zeta transform.
+
+        Direction i adds the half with bit i clear into the half with bit i
+        set and reduces it mod p.  Both halves hold residues below p < 2^31,
+        so every sum stays below 2^32 and int64 never overflows.
+        """
         p = self.field.p
-        values = [0] * (1 << self.n)
-        for mask, c in self.coeffs.items():
-            values[mask] = c
+        values = np.zeros(1 << self.n, dtype=np.int64)
+        values[list(self.coeffs)] = list(self.coeffs.values())
         for i in range(self.n):
-            bit = 1 << i
-            for m in range(1 << self.n):
-                if m & bit:
-                    values[m] = (values[m] + values[m ^ bit]) % p
-        return CubeFunction(self.n, self.field, values)
+            view = values.reshape(-1, 2, 1 << i)
+            upper = view[:, 1, :]
+            upper += view[:, 0, :]
+            upper %= p
+        return CubeFunction(self.n, self.field, values.tolist())
 
     def __eq__(self, other):
         return (

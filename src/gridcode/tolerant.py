@@ -18,7 +18,7 @@ import numpy as np
 
 from .cube import CubeFunction, bucket_masks, query_mask
 from .field import PrimeField
-from .oracle import CodeEnumeration, _min_disagreement
+from .oracle import CodeEnumeration, _min_disagreement, _weighted_counts
 from .poly import MultilinearPoly, from_truth_table
 from .restrict import UniformRestriction
 from .tester import TesterParams, amplified_test
@@ -208,7 +208,7 @@ def restricted_min_distance(k: int, d: int, field: PrimeField, sample) -> Fracti
     code = CodeEnumeration(k, d, field)
     best = None
     for start, block in code.iter_value_blocks(points):
-        nonzero = (block != 0).astype(np.int64) @ weight_vec
+        nonzero = _weighted_counts(block != 0, weight_vec)
         if start == 0:
             nonzero = nonzero[1:]  # skip the zero codeword
         local = int(nonzero.min()) if len(nonzero) else None

@@ -212,3 +212,44 @@ def test_csv_header_prints_fractions(tmp_path):
     assert tokens[:3] == ["#", "gridcode", "test"]
     assert all(token.count("=") == 1 for token in tokens[3:])
     assert "deltas=[0,1/100,1/20,3/20]" in tokens
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--n", "8", "--d", "1", "--k", "3", "--delta", "0.1"],
+        ["buckets", "--r", "5", "--k", "2"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", "-9223372036854775808", "9223372036854775808"])
+def test_seed_outside_63_bits_rejected(tmp_path, capsys, argv, seed):
+    out = tmp_path / "s.csv"
+    code = main(argv + ["--trials", "4", "--seed", seed, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --seed must be in [0, 2^63), got {seed}\n"
+    assert not out.exists()
+
+
+def test_largest_seed_accepted(tmp_path):
+    args = ["test", "--n", "8", "--d", "1", "--k", "3", "--delta", "0.1",
+            "--trials", "4", "--seed", str(2**63 - 1)]
+    assert f"seed={2**63 - 1}" in run_cli(args, tmp_path / "max.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--n", "8", "--d", "1", "--k", "3", "--delta", "0.1"],
+        ["buckets", "--r", "5", "--k", "2"],
+    ],
+)
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+def test_invalid_thread_count_rejected(tmp_path, capsys, monkeypatch, argv, threads):
+    monkeypatch.setenv("GRIDCODE_THREADS", threads)
+    out = tmp_path / "t.csv"
+    code = main(argv + ["--trials", "4", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: GRIDCODE_THREADS must be a positive integer, got {threads!r}\n"
+    assert not out.exists()

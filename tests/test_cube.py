@@ -23,6 +23,7 @@ from gridcode.restrict import Restriction, UniformRestriction, compose, identity
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_distance_identity():
@@ -192,3 +193,23 @@ def test_read_truth_table_rejects_out_of_range_residues(body):
         read_truth_table(io.StringIO("2 3\n" + body + "\n"))
     # The library constructor keeps reducing raw values mod p.
     assert CubeFunction(2, F3, [int(v) for v in body.split()]).values[2] in range(3)
+
+
+@pytest.mark.parametrize("cls", [CubeFunction, SignedCubeFunction])
+def test_values_normalised_to_residues(cls):
+    e = F5.element
+    assert cls(2, F5, [e(1), e(4), e(0), e(3)]).values == [1, 4, 0, 3]
+    mixed = cls(2, F5, [e(2), 7, -1, e(4)]).values
+    assert mixed == [2, 2, 4, 4] and all(type(v) is int for v in mixed)
+    assert cls(2, F5, [-6, 5, 12, 4]).values == [4, 0, 2, 4]
+    assert cls(2, F5, [0, 1, 2, 3]).values == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        cls(2, F5, [0, 1, F3.element(2), 3])
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        cls(2, F5, [0, 9, F3.element(2), 3])
+
+
+def test_signed_values_without_field_are_kept_exact():
+    out = SignedCubeFunction(2, None, [Fraction(-1, 3), 2, -9, 10**30]).values
+    assert out == [Fraction(-1, 3), 2, -9, 10**30]
+    assert type(out[0]) is Fraction

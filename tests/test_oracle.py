@@ -201,3 +201,38 @@ def test_value_blocks_match_reference(k, d, p):
             rows = np.concatenate(blocks)
             assert rows.dtype == expected.dtype
             assert np.array_equal(rows, expected)
+
+
+def _weighted_samples():
+    """Seeded (code, points, table, weights) cases: multisets drawn with
+    replacement, tables uniform (many ties) or a planted codeword with a
+    few changed points."""
+    rng = random.Random(71)
+    for k, d, p in [(4, 1, 2), (5, 2, 2), (4, 1, 3), (3, 2, 5), (2, 1, 31), (1, 1, 131)]:
+        field = PrimeField(p)
+        code = CodeEnumeration(k, d, field)
+        for trial in range(6):
+            sample = [rng.randrange(1 << k) for _ in range(rng.choice((3, 12, 28, 60)))]
+            points = sorted(set(sample))
+            weights = np.asarray([sample.count(pt) for pt in points], dtype=np.int64)
+            if trial % 2:
+                f = random_poly(k, d, field, rng).truth_table()
+                values = [f.values[pt] for pt in points]
+                for i in rng.sample(range(len(points)), len(points) // 4):
+                    values[i] = rng.randrange(p)
+            else:
+                values = [rng.randrange(p) for _ in points]
+            table = np.asarray(values, dtype=np.uint8 if p < 256 else np.int64)
+            yield code, points, table, weights
+
+
+def test_weighted_scan_matches_int64_product():
+    cases = tied = 0
+    for code, points, table, weights in _weighted_samples():
+        values = _reference_values(code, points)
+        counts = (values != table[None, :]).astype(np.int64) @ weights
+        best = int(np.argmin(counts))
+        assert _min_disagreement(code, points, table, weights) == (best, int(counts[best]))
+        cases += 1
+        tied += int(np.count_nonzero(counts == counts[best]) > 1)
+    assert cases == 36 and tied > 0

@@ -203,3 +203,50 @@ def test_poly_file_format():
 def test_subsets_up_to():
     assert subsets_up_to(3, 1) == [0b000, 0b001, 0b010, 0b100]
     assert len(subsets_up_to(6, 2)) == 22
+
+
+def _reference_zeta(poly):
+    """The scalar subset zeta transform: one pass per direction, mod p."""
+    p = poly.field.p
+    values = [0] * (1 << poly.n)
+    for mask, c in poly.coeffs.items():
+        values[mask] = c
+    for i in range(poly.n):
+        bit = 1 << i
+        for m in range(1 << poly.n):
+            if m & bit:
+                values[m] = (values[m] + values[m ^ bit]) % p
+    return values
+
+
+TABLE_PRIMES = [2, 3, 5, 131, 257, 2**31 - 1]
+
+
+def _check_truth_table(poly, points):
+    values = poly.truth_table().values
+    assert values == _reference_zeta(poly)
+    assert all(type(v) is int for v in values)
+    for x in points:
+        assert values[x] == poly.evaluate_residue(x)
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES)
+def test_truth_table_matches_reference_zeta(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for n in range(1, 11):
+        _check_truth_table(MultilinearPoly.zero(n, field), range(1 << n))
+        for d in range(n + 1):
+            _check_truth_table(random_poly(n, d, field, rng), range(1 << n))
+        # Every coefficient p - 1: the largest intermediate sums.
+        full = MultilinearPoly(n, field, {m: p - 1 for m in range(1 << n)})
+        _check_truth_table(full, range(1 << n))
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES)
+def test_truth_table_matches_reference_zeta_n16(p):
+    field = PrimeField(p)
+    rng = random.Random(1000 + p)
+    for d in (1, 2):
+        poly = random_poly(16, d, field, rng)
+        _check_truth_table(poly, rng.sample(range(1 << 16), 256))

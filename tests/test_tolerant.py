@@ -2,12 +2,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridcode.cube import CubeFunction, apply_restriction, bucket_masks, corrupt, query_mask
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
-from gridcode.oracle import exact_delta_d
+from gridcode.oracle import CodeEnumeration, exact_delta_d
 from gridcode.poly import from_truth_table, random_poly
 from gridcode.tolerant import (
     TolerantParams,
@@ -175,6 +176,21 @@ def test_restricted_min_distance_random_sets_mostly_good():
         if restricted_min_distance(6, 1, F2, sample) < Fraction(1, 4):
             bad += 1
     assert bad <= 2
+
+
+def test_restricted_min_distance_matches_int64_product():
+    rng = random.Random(33)
+    for k, d, p in [(4, 1, 2), (5, 2, 2), (4, 1, 3), (3, 2, 5)]:
+        field = PrimeField(p)
+        code = CodeEnumeration(k, d, field)
+        for m in (5, 17, 40):
+            sample = [rng.randrange(1 << k) for _ in range(m)]
+            points = sorted(set(sample))
+            weights = np.asarray([sample.count(pt) for pt in points], dtype=np.int64)
+            values = code.value_matrix(points)
+            counts = (values[1:] != 0).astype(np.int64) @ weights
+            expected = Fraction(int(counts.min()), m)
+            assert restricted_min_distance(k, d, field, sample) == expected
 
 
 def test_distance_estimate_concentrates():
