@@ -9,6 +9,7 @@ worker processes.  All output embeds the full parameter set.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -229,8 +230,8 @@ def run_buckets_command(config: ExperimentConfig) -> list[dict]:
         ]
     sampler = {
         "recursive": lambda rng: restrict.sample_restriction_recursive(r, k, rng)[0].bucket_sizes(),
-        "direct": lambda rng: restrict.sample_buckets_direct(r, k, rng).sorted_sizes(),
-        "cycle": lambda rng: restrict.sample_buckets_cycle(r, k, rng).sorted_sizes(),
+        "direct": lambda rng: restrict.sample_buckets_direct_sizes(r, k, rng),
+        "cycle": lambda rng: restrict.sample_buckets_cycle_sizes(r, k, rng),
     }[process]
     counts: dict[tuple, int] = {}
     for i in range(config.trials):
@@ -561,9 +562,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and reused by later ``main`` calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         thread_count()  # reject a malformed GRIDCODE_THREADS whether or not it is used

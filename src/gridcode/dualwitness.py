@@ -121,6 +121,8 @@ def build_witness(
     The N homogeneous orthogonality constraints in N+1 unknowns always admit
     a nonzero solution; its nonzero entries form the support.
     """
+    if d < 0:
+        raise ValueError(f"d must be non-negative, got {d}")
     if lo is None or hi is None:
         d_lo, d_hi = default_window(k)
         lo = d_lo if lo is None else lo

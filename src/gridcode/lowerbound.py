@@ -27,7 +27,7 @@ ALL_PLUS_ONES = 0  # mask of the +1^n vector
 
 def coordinate_sum(mask: int, n: int) -> int:
     """Sum over Z of the +-1 coordinates encoded by the mask."""
-    return n - 2 * bin(mask).count("1")
+    return n - 2 * mask.bit_count()
 
 
 def span_exponent(s: float) -> int:
@@ -42,10 +42,11 @@ def sample_balanced_vectors(n: int, s: int, count: int, rng) -> list[int]:
     if s < 1 or n < 1:
         raise ValueError("need positive n and s")
     bound = n / s
+    balanced = [abs(n - 2 * minus) <= bound for minus in range(n + 1)]
     out = []
     while len(out) < count:
         mask = rng.getrandbits(n)
-        if abs(coordinate_sum(mask, n)) <= bound:
+        if balanced[mask.bit_count()]:
             out.append(mask)
     return out
 
@@ -238,84 +239,151 @@ def _pattern_key(subset: tuple[int, ...], n: int) -> int:
     return key
 
 
+# Solvability of every pattern system met in this process, keyed by
+# (p or None, affine, u, key): nothing else enters it, and there are at most
+# 3 + 15 + 255 nonzero keys with u <= 3 per field and mode.
+_SOLVABLE: dict[tuple, bool] = {}
+
+# Subsets per block of the numpy span scan; bounds its mask buffer.
+_SCAN_BLOCK = 1 << 16
+
+
 class _PatternOracle:
-    """Memoised solvability of pattern systems, keyed by (size, pattern set)."""
+    """Solvability of pattern systems by (size, pattern set), memoised for
+    the whole process."""
 
     def __init__(self, field, affine: bool):
         self.field = field
         self.affine = affine
-        self.cache: dict[tuple[int, int], bool] = {}
+        self._memo_prefix = (None if field is None else field.p, affine)
 
     def solvable(self, key: int, u: int) -> bool:
-        ck = (u, key)
-        hit = self.cache.get(ck)
+        ck = (*self._memo_prefix, u, key)
+        hit = _SOLVABLE.get(ck)
         if hit is None:
             rows = _rows_from_key(key, u)
             hit = _solve_pattern_system(rows, self.field, self.affine)[0]
-            self.cache[ck] = hit
+            _SOLVABLE[ck] = hit
         return hit
 
-    def solvable_keys(self, keys: np.ndarray, u: int) -> np.ndarray:
-        good = [
-            k for k in np.unique(keys).tolist() if self.solvable(int(k), u)
-        ]
-        return np.asarray(good, dtype=keys.dtype)
+    def table(self, u: int) -> np.ndarray:
+        """Solvability of all 2^(2^u) keys; key 0 (no pattern) reads False."""
+        table = np.zeros(1 << (1 << u), dtype=bool)
+        for key in range(1, len(table)):
+            table[key] = self.solvable(key, u)
+        return table
 
 
-def _scan_pairs_vectorized(masks: np.ndarray, full, oracle: _PatternOracle):
-    count = len(masks)
-    for i in range(count - 1):
-        a, not_a = masks[i], ~masks[i] & full
-        tail = masks[i + 1:]
-        not_tail = ~tail & full
-        key = np.zeros(len(tail), dtype=np.uint8)
-        for pattern in range(4):
-            m1 = a if pattern & 1 else not_a
-            m2 = tail if pattern & 2 else not_tail
-            key |= ((m1 & m2) != 0).astype(np.uint8) << np.uint8(pattern)
-        hits = np.isin(key, oracle.solvable_keys(key, 2))
-        if hits.any():
-            j = i + 1 + int(np.argmax(hits))
-            return i, j
-    return None
-
-
-def _scan_triples_vectorized(masks: np.ndarray, full, oracle: _PatternOracle):
-    count = len(masks)
-    for i in range(count - 2):
-        a, not_a = masks[i], ~masks[i] & full
-        rest = masks[i + 1:]
-        jj, ll = np.triu_indices(len(rest), k=1)
-        second, third = rest[jj], rest[ll]
-        not_second, not_third = ~second & full, ~third & full
-        key = np.zeros(len(jj), dtype=np.uint8)
-        for pattern in range(8):
-            m1 = a if pattern & 1 else not_a
-            m2 = second if pattern & 2 else not_second
-            m3 = third if pattern & 4 else not_third
-            key |= ((m1 & m2 & m3) != 0).astype(np.uint8) << np.uint8(pattern)
-        hits = np.isin(key, oracle.solvable_keys(key, 3))
-        if hits.any():
-            first = int(np.argmax(hits))
-            return i, i + 1 + int(jj[first]), i + 1 + int(ll[first])
-    return None
-
-
-def _find_spanning_subset(candidates, size, n, oracle: _PatternOracle):
-    """First subset of the given size (in combination order) spanning the
-    target, or None.  Sizes 2 and 3 use a vectorized pattern scan."""
-    if size in (2, 3) and n <= 64 and len(candidates) > size:
-        masks = np.asarray(candidates, dtype=np.uint64)
-        full = np.uint64((1 << n) - 1)
-        scan = _scan_pairs_vectorized if size == 2 else _scan_triples_vectorized
-        found = scan(masks, full, oracle)
-        if found is None:
-            return None
-        return tuple(candidates[i] for i in found)
+def _scan_combinations(candidates, size, n, oracle: _PatternOracle):
+    """First spanning subset in combination order, one subset at a time (the
+    reference for the numpy scan, and the path for n > 64)."""
     for subset in itertools.combinations(candidates, size):
         if oracle.solvable(_pattern_key(subset, n), size):
             return subset
     return None
+
+
+def _scan_blocks(candidates, size, n, oracle: _PatternOracle):
+    """First spanning subset in combination order, by numpy (n <= 64, size <= 3).
+
+    Pattern (b_1, ..., b_u) occurs in a subset iff some coordinate reads -1
+    exactly in the members with b = 1: the AND of those members' masks and
+    the other members' complements is nonzero.  Pairs come in combination
+    order from ``triu_indices``.  A triple is a first member plus a later
+    pair, and the pairs after a first member are a suffix of the pair order,
+    so the pair intersections are computed once and each first member ANDs a
+    slice of them.  Keys are looked up in the oracle's table, one block of at
+    most ``_SCAN_BLOCK`` subsets at a time.
+    """
+    masks = np.asarray(candidates, dtype=np.uint64)
+    full = np.uint64((1 << n) - 1)
+    minus = masks & full
+    table = oracle.table(size)
+    if size == 1:
+        found = _first_hit(table, np.stack([minus != full, minus != 0]))
+        return None if found is None else (candidates[found],)
+    second, third = np.triu_indices(len(masks), k=1)
+    if size == 2:
+        for lo in range(0, len(second), _SCAN_BLOCK):
+            block = slice(lo, lo + _SCAN_BLOCK)
+            pairs = _pair_patterns(minus[second[block]], minus[third[block]], full)
+            found = _first_hit(table, pairs != 0)
+            if found is not None:
+                return candidates[second[lo + found]], candidates[third[lo + found]]
+        return None
+    pairs = _pair_patterns(minus[second], minus[third], full)
+    flags = np.empty((8, min(_SCAN_BLOCK, math.comb(len(masks), 3))), dtype=bool)
+    for block in _triple_blocks(len(masks)):
+        filled = 0
+        for first, lo, hi in block:
+            # pattern b + 2q with q the pair's pattern: b = 1 where the first
+            # member's -1 coordinates meet the pair's, b = 0 where they miss
+            tail = pairs[:, lo:hi]
+            meet = tail & minus[first]
+            np.not_equal(meet, 0, out=flags[1::2, filled:filled + hi - lo])
+            np.not_equal(meet, tail, out=flags[0::2, filled:filled + hi - lo])
+            filled += hi - lo
+        found = _first_hit(table, flags[:, :filled])
+        if found is not None:
+            for first, lo, hi in block:
+                if found < hi - lo:
+                    members = (first, second[lo + found], third[lo + found])
+                    return tuple(candidates[i] for i in members)
+                found -= hi - lo
+    return None
+
+
+def _pair_patterns(a: np.ndarray, b: np.ndarray, full) -> np.ndarray:
+    """Coordinates of each pattern of the pairs (a_i, b_i), given as -1 masks:
+    row 0 reads (+,+), row 1 (-,+), row 2 (+,-) and row 3 (-,-)."""
+    out = np.empty((4, len(a)), dtype=np.uint64)
+    np.bitwise_and(a, b, out=out[3])
+    np.bitwise_xor(a, out[3], out=out[1])
+    np.bitwise_xor(b, out[3], out=out[2])
+    np.bitwise_or(a, b, out=out[0])
+    np.bitwise_xor(out[0], full, out=out[0])
+    return out
+
+
+def _first_hit(table: np.ndarray, flags: np.ndarray) -> int | None:
+    """Column of the first solvable key, where row r of ``flags`` is bit r."""
+    keys = flags[0].view(np.uint8).copy()
+    for r in range(1, len(flags)):
+        keys |= flags[r].view(np.uint8) << r
+    hits = table[keys]
+    return int(hits.argmax()) if hits.any() else None
+
+
+def _triple_blocks(count: int):
+    """Cut the triples of ``count`` candidates, in combination order, into
+    blocks of at most ``_SCAN_BLOCK``.
+
+    Each block is a list of pieces (first, lo, hi): first member ``first``
+    with the pairs lo..hi-1 of the pair order; the pairs after ``first`` are
+    the last C(count - 1 - first, 2) of them.
+    """
+    pair_count = math.comb(count, 2)
+    block, filled = [], 0
+    for first in range(count - 2):
+        lo = pair_count - math.comb(count - 1 - first, 2)
+        while lo < pair_count:
+            hi = min(pair_count, lo + _SCAN_BLOCK - filled)
+            block.append((first, lo, hi))
+            filled += hi - lo
+            lo = hi
+            if filled == _SCAN_BLOCK:
+                yield block
+                block, filled = [], 0
+    if block:
+        yield block
+
+
+def _find_spanning_subset(candidates, size, n, oracle: _PatternOracle):
+    """First subset of the given size (in combination order) spanning the
+    target, or None.  Sizes up to 3 at n <= 64 use the numpy scan."""
+    if size <= 3 and n <= 64:
+        return _scan_blocks(candidates, size, n, oracle)
+    return _scan_combinations(candidates, size, n, oracle)
 
 
 def t_span_contains(
@@ -341,6 +409,8 @@ def t_span_contains(
     to 1 (affine span); no factorial bound is asserted in that mode.
     """
     candidates = list(candidates)
+    if t < 1:
+        raise ValueError(f"t must be at least 1, got {t}")
     if t > len(candidates):
         raise ValueError("t cannot exceed the candidate count")
     work = sum(math.comb(len(candidates), u) for u in range(1, t + 1))

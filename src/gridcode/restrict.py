@@ -213,10 +213,7 @@ def sample_restriction_direct(n: int, k: int, rng) -> Restriction:
     shift_bits = [rng.getrandbits(1) for _ in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)
-    parents = [0] * n
-    for pos in range(k, n):
-        parents[pos] = rng.randrange(pos)
-    return direct_restriction(n, k, shift_bits, perm, parents)
+    return direct_restriction(n, k, shift_bits, perm, _sample_parents(n, k, rng))
 
 
 @dataclass(frozen=True)
@@ -266,13 +263,34 @@ def sample_buckets_cycle(r: int, k: int, rng) -> BucketSample:
     opens the bucket that collects the non-special elements up to the next
     special one.
     """
+    entry, rest = _sample_cycle(r, k, rng)
+    buckets = _cycle_buckets(r, k, entry, rest)
+    return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
+
+
+def sample_buckets_cycle_sizes(r: int, k: int, rng) -> tuple[int, ...]:
+    """``sample_buckets_cycle(r, k, rng).sorted_sizes()`` from the same random
+    calls, without building the partition: the buckets are the arcs between
+    consecutive special elements of the order."""
+    entry, rest = _sample_cycle(r, k, rng)
+    cuts = [0, *(pos for pos, element in enumerate(rest, 1) if element < k), r]
+    return tuple(sorted(b - a for a, b in zip(cuts, cuts[1:])))
+
+
+def _sample_cycle(r: int, k: int, rng) -> tuple[int, list[int]]:
+    """Entry special element and the shuffled order of the other elements."""
     if not r >= k >= 1:
         raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
     entry = rng.randrange(k)
-    rest = [e for e in range(r) if e != entry]
+    rest = list(range(r))
+    del rest[entry]
     rng.shuffle(rest)
-    buckets = _cycle_buckets(r, k, entry, rest)
-    return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
+    return entry, rest
+
+
+def _sample_parents(r: int, k: int, rng) -> list[int]:
+    """Parent process: a uniform earlier parent for each i in [k, r)."""
+    return [0] * k + [rng.randrange(i) for i in range(k, r)]
 
 
 def _parent_bucket_sizes(r: int, k: int, parents) -> list[int]:
@@ -289,15 +307,21 @@ def sample_buckets_direct(r: int, k: int, rng) -> BucketSample:
     """Parent-process sampler for the bucket distribution alone."""
     if not r >= k >= 1:
         raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
-    parents = [0] * r
-    for i in range(k, r):
-        parents[i] = rng.randrange(i)
+    parents = _sample_parents(r, k, rng)
     owner = list(range(k)) + [0] * (r - k)
     buckets: list[set] = [{j} for j in range(k)]
     for i in range(k, r):
         owner[i] = owner[parents[i]]
         buckets[owner[i]].add(i)
     return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
+
+
+def sample_buckets_direct_sizes(r: int, k: int, rng) -> tuple[int, ...]:
+    """``sample_buckets_direct(r, k, rng).sorted_sizes()`` from the same random
+    calls, by counting sizes instead of building the partition."""
+    if not r >= k >= 1:
+        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
+    return tuple(sorted(_parent_bucket_sizes(r, k, _sample_parents(r, k, rng))))
 
 
 def _parent_space_size(r: int, k: int) -> int:
@@ -412,10 +436,7 @@ def min_bucket_tail(r: int, k: int, trials: int, rng) -> tuple[float, float]:
     threshold = r / (4 * k)
     hits = 0
     for _ in range(trials):
-        parents = [0] * r
-        for i in range(k, r):
-            parents[i] = rng.randrange(i)
-        if min(_parent_bucket_sizes(r, k, parents)) >= threshold:
+        if min(_parent_bucket_sizes(r, k, _sample_parents(r, k, rng))) >= threshold:
             hits += 1
     rate = hits / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)

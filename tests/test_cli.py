@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -252,4 +253,80 @@ def test_invalid_thread_count_rejected(tmp_path, capsys, monkeypatch, argv, thre
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: GRIDCODE_THREADS must be a positive integer, got {threads!r}\n"
+    assert not out.exists()
+
+
+# sha256 of each artifact as the scalar span scan, the partition-building
+# bucket samplers and a fresh parser per call wrote it; the fast paths must
+# reproduce every byte.
+ARTIFACT_SHA256 = [
+    ("span --n 36 --s 6 --t 2 --count 200 --trials 20 --seed 7",
+     "de71943962058cc5bf2438eaab5f5804bc592b5e69af27ddf78e37647bb91f71"),
+    # 4 of 10 trials find a spanning triple
+    ("span --n 12 --s 2 --t 3 --count 40 --trials 10 --seed 1",
+     "13f2ad9adee60ff5d3dd9b13149542e52a208fedfa45777d7b3f3bb2c6ba49ff"),
+    # 2 of 10 trials find a spanning triple over F_3
+    ("span --n 10 --s 2 --t 3 --p 3 --count 30 --trials 10 --seed 2",
+     "28faf2a725ee8ec69d7b6ff3e540f9ec160b21e352838a1d406a42b03f2b166a"),
+    # every trial spans with one vector over F_2
+    ("span --n 8 --s 2 --t 2 --p 2 --count 12 --trials 6 --seed 3",
+     "4b6cb82cbe4051a72ad207b18e36befb4200271e52ce3977e8a174b7ac6d6ec5"),
+    ("buckets --r 5 --k 2 --exact",
+     "8bf1a859406792168d7219fc84c3ddb3b77c5d09ef7993b9477776f1edb0ad35"),
+    ("buckets --r 12 --k 4 --process cycle --trials 3000 --seed 7",
+     "5ce2ce8a1e8c2450352ceb6786dbf3538b2a91f0634bc4019c572410a0aaebc1"),
+    ("buckets --r 12 --k 4 --process direct --trials 3000 --seed 7",
+     "eb5b1836c7da51f018784e09f98bd5f3884cee4ecb8cc91afd163e97e7151412"),
+    ("buckets --r 12 --k 4 --process recursive --trials 1000 --seed 7",
+     "21e8aa73bfd259fc66a0ee44abd6ecedc28192eba75407504563042d486d9bb4"),
+    ("buckets --r 4 --k 4 --process direct --trials 50 --seed 1 --format json",
+     "83cb5ad23bb30077670cc25bcd375d253d24ebd2629a0dda2bf80083861e6951"),
+    ("buckets --r 9 --k 1 --process cycle --trials 50 --seed 1",
+     "05e8b960515cc40920485dcc4ab251c69e095d7523593ff1a8153c6e242fde20"),
+    ("witness --k 4 --d 1 --p 2",
+     "d8a78c7e85b4704748c834dc3d998b4c8fd3f3c13a865fad5683cee506239541"),
+    ("witness --k 6 --d 2 --p 3",
+     "ca0f5cd80601d526320749ad65f512de6d13e28dd8ec7f18e092cae7998f9d4d"),
+]
+
+
+@pytest.mark.parametrize("line, digest", ARTIFACT_SHA256)
+def test_artifacts_are_byte_identical_to_recorded_digests(tmp_path, line, digest):
+    out = tmp_path / "artifact"
+    assert main(line.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_reused_parser_survives_failed_calls(tmp_path, capsys):
+    good = ["span", "--n", "24", "--s", "4", "--t", "2", "--count", "30",
+            "--trials", "3", "--seed", "11"]
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    assert main(good + ["--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["span", "--n", "24", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert main(["witness", "--k", "4", "--d", "1", "--trials", "0"]) == 1
+    assert main(["buckets", "--r", "5", "--k", "2", "--trials", "20", "--format", "json",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "b.json").read_text())["command"] == "buckets"
+    assert main(good + ["--out", str(last)]) == 0
+    assert last.read_bytes() == first.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["span", "--n", "12", "--s", "2", "--t", "0", "--count", "10"], "t must be at least 1"),
+        (["span", "--n", "12", "--s", "2", "--t", "-1", "--count", "10"], "t must be at least 1"),
+        (["witness", "--k", "4", "--d", "-1"], "d must be non-negative"),
+    ],
+)
+def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    code = main(argv + ["--trials", "3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()

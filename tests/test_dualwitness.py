@@ -80,6 +80,12 @@ def test_build_witness_d0():
     assert report.all_ok()
 
 
+@pytest.mark.parametrize("d", [-1, -3])
+def test_build_witness_rejects_negative_degree(d):
+    with pytest.raises(ValueError, match="d must be non-negative"):
+        build_witness(4, d, F2)
+
+
 def test_build_witness_small_cases():
     for k, d, field in ((4, 1, F3), (4, 1, F2), (6, 2, F2), (5, 1, F3)):
         w = build_witness(k, d, field)

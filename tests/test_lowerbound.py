@@ -229,3 +229,124 @@ def test_decoder_stress_oracle_sees_linear_values():
 
     report = decoder_stress(first_coordinate_reader, 12, 3, field, 300, rng)
     assert report.rate < 0.25
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_span_rejects_nonpositive_t(t):
+    with pytest.raises(ValueError, match="t must be at least 1"):
+        t_span_contains(ALL_PLUS_ONES, [0b0110, 0b0101], t, 4)
+
+
+# --- the numpy span scan against the itertools reference -------------------
+
+F3 = PrimeField(3)
+
+
+def _reference_scan(candidates, size, n, field, affine):
+    from gridcode.lowerbound import _PatternOracle, _scan_combinations
+
+    return _scan_combinations(candidates, size, n, _PatternOracle(field, affine))
+
+
+def _numpy_scan(candidates, size, n, field, affine):
+    from gridcode.lowerbound import _PatternOracle, _scan_blocks
+
+    return _scan_blocks(candidates, size, n, _PatternOracle(field, affine))
+
+
+def _spanning_triple(n, rng):
+    """Three vectors whose coordinate patterns are (+,+,-), (+,-,+) and
+    (-,+,+), in a random coordinate order; they sum to the all-ones vector."""
+    patterns = [j % 3 for j in range(n)]
+    rng.shuffle(patterns)
+    return [sum(1 << j for j, q in enumerate(patterns) if q == b) for b in (2, 1, 0)]
+
+
+def _planted_instance(n, count, positions, rng):
+    """Random masks (never the all-ones vector) with a spanning triple
+    planted at positions pos, pos + 2, pos + 4 for each given pos."""
+    vectors = [rng.getrandbits(n) | 1 for _ in range(count)]
+    for pos in positions:
+        for offset, v in enumerate(_spanning_triple(n, rng)):
+            vectors[(pos + 2 * offset) % count] = v
+    return vectors
+
+
+@pytest.mark.parametrize("n", [8, 20, 64])
+@pytest.mark.parametrize("field, affine", [(None, False), (F3, False), (None, True)])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_numpy_scan_matches_reference(n, field, affine, size):
+    rng = random.Random(1000 * n + 10 * size + (field.p if field else 0) + affine)
+    cases = []
+    for count in (size, size + 1, 9, 23):
+        cases.append([rng.getrandbits(n) for _ in range(count)])
+        cases.append(sample_balanced_vectors(n, 2, count, rng))
+    cases.append(_planted_instance(n, 24, (5, 11), rng))
+    cases.append(_planted_instance(n, 24, (17, 2), rng))
+    for plus, minus in ((13, 6), (2, 17)):
+        with_target = [rng.getrandbits(n) | 1 for _ in range(20)]
+        with_target[plus] = ALL_PLUS_ONES
+        with_target[minus] = (1 << n) - 1  # the all-minus-ones vector
+        cases.append(with_target)
+    hits = 0
+    for vectors in cases:
+        expected = _reference_scan(vectors, size, n, field, affine)
+        assert _numpy_scan(vectors, size, n, field, affine) == expected, vectors
+        hits += expected is not None
+    assert hits >= 2
+
+
+def test_numpy_scan_with_no_hit_returns_none():
+    rng = random.Random(41)
+    for n, count, size in ((36, 60, 2), (20, 30, 3), (64, 40, 3)):
+        vectors = sample_balanced_vectors(n, 4, count, rng)
+        assert _reference_scan(vectors, size, n, None, False) is None
+        assert _numpy_scan(vectors, size, n, None, False) is None
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_numpy_scan_across_block_boundaries(monkeypatch, block, size):
+    import gridcode.lowerbound as lb
+
+    monkeypatch.setattr(lb, "_SCAN_BLOCK", block)
+    rng = random.Random(43 + block + size)
+    for field in (None, F3):
+        for positions in ((3,), (9, 1), (14,)):
+            vectors = _planted_instance(20, 18, positions, rng)
+            expected = _reference_scan(vectors, size, 20, field, False)
+            assert _numpy_scan(vectors, size, 20, field, False) == expected
+        vectors = sample_balanced_vectors(20, 4, 16, rng)
+        assert _numpy_scan(vectors, size, 20, field, False) == _reference_scan(
+            vectors, size, 20, field, False)
+
+
+def test_numpy_scan_hit_past_the_first_block():
+    from gridcode.lowerbound import _SCAN_BLOCK
+
+    rng = random.Random(44)
+    count = 80
+    assert math.comb(count, 3) > _SCAN_BLOCK
+    vectors = sample_balanced_vectors(36, 6, count, rng)
+    triple = _spanning_triple(36, rng)
+    # triples whose first member comes after index 40 lie past the first block
+    vectors[41], vectors[60], vectors[79] = triple
+    assert sum(math.comb(count - 1 - i, 2) for i in range(41)) > _SCAN_BLOCK
+    expected = _reference_scan(vectors, 3, 36, None, False)
+    assert expected == tuple(triple)
+    assert _numpy_scan(vectors, 3, 36, None, False) == expected
+
+
+@pytest.mark.parametrize("field", [None, F2, F3])
+@pytest.mark.parametrize("affine", [False, True])
+def test_shared_memo_matches_fresh_solves(field, affine):
+    from gridcode.lowerbound import _PatternOracle, _rows_from_key, _solve_pattern_system
+
+    oracle = _PatternOracle(field, affine)
+    for u in (1, 2, 3):
+        table = oracle.table(u)
+        assert len(table) == 1 << (1 << u) and not table[0]
+        for key in range(1, 1 << (1 << u)):
+            fresh = _solve_pattern_system(_rows_from_key(key, u), field, affine)[0]
+            assert oracle.solvable(key, u) == fresh == bool(table[key])
+            assert _PatternOracle(field, affine).solvable(key, u) == fresh

@@ -18,7 +18,9 @@ from gridcode.restrict import (
     exact_bucket_distribution_recursive,
     min_bucket_tail,
     sample_buckets_cycle,
+    sample_buckets_cycle_sizes,
     sample_buckets_direct,
+    sample_buckets_direct_sizes,
     sample_restriction_direct,
     sample_restriction_recursive,
 )
@@ -199,3 +201,29 @@ def test_compose_matches_sequential_maps():
         assert combined.var_to_output[i] == second.var_to_output[j]
         expected_shift = ((first.shift_mask >> i) & 1) ^ ((second.shift_mask >> j) & 1)
         assert ((combined.shift_mask >> i) & 1) == expected_shift
+
+
+SIZE_GRID = [(1, 1), (4, 4), (5, 1), (9, 1), (5, 2), (9, 3), (12, 4), (13, 13), (20, 7)]
+
+
+@pytest.mark.parametrize("r, k", SIZE_GRID)
+def test_sizes_only_samplers_match_partition_samplers(r, k):
+    for full, sizes_only in ((sample_buckets_cycle, sample_buckets_cycle_sizes),
+                             (sample_buckets_direct, sample_buckets_direct_sizes)):
+        for seed in range(40):
+            rng_a, rng_b = random.Random(seed), random.Random(seed)
+            sizes = sizes_only(r, k, rng_b)
+            assert sizes == full(r, k, rng_a).sorted_sizes()
+            assert isinstance(sizes, tuple) and sum(sizes) == r
+            assert rng_a.getstate() == rng_b.getstate()
+
+
+@pytest.mark.parametrize("sampler", ["cycle", "direct"])
+@pytest.mark.parametrize("r, k", [(3, 4), (0, 0), (5, 0), (2, -1)])
+def test_sizes_only_samplers_reject_bad_arguments(sampler, r, k):
+    full = {"cycle": sample_buckets_cycle, "direct": sample_buckets_direct}[sampler]
+    sizes_only = {"cycle": sample_buckets_cycle_sizes,
+                  "direct": sample_buckets_direct_sizes}[sampler]
+    for fn in (full, sizes_only):
+        with pytest.raises(ValueError, match="need r >= k >= 1"):
+            fn(r, k, random.Random(0))
