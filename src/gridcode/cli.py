@@ -12,7 +12,6 @@ import argparse
 import functools
 import io
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -452,7 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta1", type=str, required=True)
     sp.add_argument("--delta2", type=str, required=True)
     sp.add_argument("--delta", type=str, nargs="+", required=True)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None,
+                    help="small-cube dimension (default d+5); its p^C(k,<=d) codewords must fit "
+                         "the budget of 10^7, so --d 2 needs --k (at most 6 over F_2, 4 over "
+                         "F_3), and so does --d 1 over p >= 11")
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--reps", type=int, default=1)
     sp.add_argument("--replacement", action=argparse.BooleanOptionalAction, default=True)
@@ -515,11 +517,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             "mode": args.mode,
         }
     elif sub == "tolerant":
-        eps = (Fraction(args.delta2) - Fraction(args.delta1)) / 2
-        if eps <= 0:
-            raise ValueError("delta2 must exceed delta1")
-        k = args.k if args.k is not None else args.d + 5
-        m = args.m if args.m is not None else math.ceil(1 / float(eps) ** 2) + k**args.d
+        desk = tolerant.TolerantParams.desk(
+            args.d, Fraction(args.delta1), Fraction(args.delta2), k=args.k, m=args.m
+        )
         params = {
             "n": args.n,
             "d": args.d,
@@ -527,8 +527,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             "delta1": Fraction(args.delta1),
             "delta2": Fraction(args.delta2),
             "deltas": [Fraction(x) for x in args.delta],
-            "k": k,
-            "m": m,
+            "k": desk.k,
+            "m": desk.m,
             "reps": args.reps,
             "replacement": args.replacement,
         }

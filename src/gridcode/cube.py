@@ -2,8 +2,7 @@
 
 Convention used throughout the package: the point x in {0,1}^n is the mask m
 with bit i of m equal to x_{i+1}, i.e. coordinate 1 is the least significant
-bit.  Values are stored as raw residues (ints in [0, p)) for speed; use
-``element_at`` to get wrapped field elements.
+bit.  Values are stored as raw residues (ints in [0, p)) for speed.
 """
 
 from __future__ import annotations
@@ -61,12 +60,6 @@ class CubeFunction:
     @classmethod
     def random(cls, n: int, field: PrimeField, rng) -> "CubeFunction":
         return cls(n, field, [rng.randrange(field.p) for _ in range(1 << n)])
-
-    def value_at(self, mask: int) -> int:
-        return self.values[mask]
-
-    def element_at(self, mask: int) -> FieldElement:
-        return FieldElement(self.values[mask], self.field)
 
     def __eq__(self, other):
         return (
@@ -172,9 +165,6 @@ class SignedCubeFunction:
         self.n = n
         self.field = field
         self.values = values
-
-    def value_at(self, mask: int):
-        return self.values[mask]
 
     def coordinate_sum(self, mask: int) -> int:
         """Sum over Z of the +-1 coordinates of the point with this mask."""

@@ -105,9 +105,6 @@ class DualWitness:
     weights: tuple[FieldElement, ...]
     window: tuple[int, int]
 
-    def weight_at(self, point: int) -> FieldElement:
-        return self.weights[self.support.index(point)]
-
 
 def build_witness(
     k: int,

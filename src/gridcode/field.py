@@ -75,19 +75,10 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def random_residue(self, rng) -> int:
-        return rng.randrange(self.p)
 
 
 class FieldElement:

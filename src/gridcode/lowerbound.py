@@ -43,6 +43,8 @@ def sample_balanced_vectors(n: int, s: int, count: int, rng) -> list[int]:
         raise ValueError("need positive n and s")
     bound = n / s
     balanced = [abs(n - 2 * minus) <= bound for minus in range(n + 1)]
+    if not any(balanced):
+        raise ValueError(f"no vector of {{-1,1}}^{n} has |coordinate sum| <= {n}/{s}")
     out = []
     while len(out) < count:
         mask = rng.getrandbits(n)
@@ -456,9 +458,6 @@ class HardFunction:
     coefficients: tuple[int, ...]
     table: SignedCubeFunction
     erased_count: int
-
-    def is_erased(self, mask: int) -> bool:
-        return abs(coordinate_sum(mask, self.n)) >= 2 * self.n / self.s
 
     def linear_value(self, mask: int):
         """l at the point encoded by the mask (before erasure)."""

@@ -130,11 +130,6 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
     return MultilinearPoly(f.n, f.field, {m: c for m, c in enumerate(coeffs) if c})
 
 
-def truth_table_degree(f: CubeFunction) -> int:
-    """Degree of the multilinear polynomial computing f (0 for constants)."""
-    return from_truth_table(f).degree()
-
-
 def identify_variables(poly: MultilinearPoly, i: int, j: int, b: int) -> MultilinearPoly:
     """Substitute X_j := b xor X_i and renumber the surviving variables.
 

@@ -3,9 +3,9 @@
 Step 1 runs the amplified intolerant test to screen out functions far beyond
 the tolerant regime.  Step 2 restricts through an i.i.d. uniform variable map
 (not the bucket process; buckets may be empty here) and samples a query set S
-from the small cube.  Step 3 brute-force interpolates the closest degree-d
-polynomial on S and accepts iff its distance mu on S is below
-(delta_1 + delta_2) / 2.
+from the small cube.  Step 3 finds the exactly closest degree-d polynomial on
+S (``oracle.nearest_codeword``, weighted by multiplicity) and accepts iff its
+distance mu on S is below (delta_1 + delta_2) / 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .cube import CubeFunction, bucket_masks, query_mask
 from .field import PrimeField
-from .oracle import CodeEnumeration, _min_disagreement, _weighted_counts
+from .oracle import CodeEnumeration, _weighted_counts, nearest_codeword
 from .poly import MultilinearPoly, from_truth_table
 from .restrict import UniformRestriction
 from .tester import TesterParams, amplified_test
@@ -129,7 +129,7 @@ def _closest_on_points(
     field: PrimeField,
     budget: int,
 ) -> tuple[MultilinearPoly, Fraction]:
-    """Exhaustive weighted nearest codeword on a set of points.
+    """Exact weighted nearest codeword on a set of points.
 
     Ties break to the lexicographically smallest coefficient vector (the
     enumeration order of CodeEnumeration).
@@ -140,7 +140,7 @@ def _closest_on_points(
     table = np.asarray([values[pt] for pt in points], dtype=dtype)
     weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
     total = int(weight_vec.sum())
-    best, count = _min_disagreement(code, points, table, weights=weight_vec)
+    best, count = nearest_codeword(code, table, weight_vec, points)
     return code.poly_at(best), Fraction(count, total)
 
 

@@ -287,6 +287,21 @@ ARTIFACT_SHA256 = [
      "d8a78c7e85b4704748c834dc3d998b4c8fd3f3c13a865fad5683cee506239541"),
     ("witness --k 6 --d 2 --p 3",
      "ca0f5cd80601d526320749ad65f512de6d13e28dd8ec7f18e092cae7998f9d4d"),
+    # tolerant runs as the weighted block scan and the CLI's own copy of the
+    # desk defaults for k and m wrote them: the README invocation (d = 1
+    # over F_2), d = 2 over F_2, d = 1 over F_3 and d = 2 over F_3 (scan)
+    ("tolerant --n 12 --d 1 --p 2 --delta1 0.02 --delta2 0.2 --delta 0.01 0.25 "
+     "--trials 400 --seed 7",
+     "39adb908fff4bf4643819e753fbc740b24aee3a67cdd5f6e55a302dceec2c920"),
+    ("tolerant --n 10 --d 2 --p 2 --k 5 --delta1 1/50 --delta2 1/5 --delta 1/100 1/4 "
+     "--trials 60 --seed 3",
+     "d24425735afd29676fa1f85eae233cb895ff7ae36005c859eecaf6c5f9887101"),
+    ("tolerant --n 9 --d 1 --p 3 --delta1 1/50 --delta2 1/5 --delta 0 1/10 "
+     "--trials 60 --seed 4",
+     "a6a1a64ddca11762e72831e61bf3cfa59b8b2b4c530370a2dad334b496cf318b"),
+    ("tolerant --n 8 --d 2 --p 3 --k 4 --delta1 1/50 --delta2 1/5 --delta 0 1/10 "
+     "--trials 20 --seed 5",
+     "c576bc16598dae3fb53f4e479386a8fc55dd6c242f5636397dfbaa20b051cec1"),
 ]
 
 
@@ -320,6 +335,7 @@ def test_reused_parser_survives_failed_calls(tmp_path, capsys):
         (["span", "--n", "12", "--s", "2", "--t", "0", "--count", "10"], "t must be at least 1"),
         (["span", "--n", "12", "--s", "2", "--t", "-1", "--count", "10"], "t must be at least 1"),
         (["witness", "--k", "4", "--d", "-1"], "d must be non-negative"),
+        (["span", "--n", "11", "--s", "20", "--t", "1", "--count", "3"], "no vector"),
     ],
 )
 def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, argv, message):
@@ -330,3 +346,15 @@ def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, arg
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_tolerant_degree_two_needs_explicit_k(tmp_path, capsys):
+    base = ["tolerant", "--n", "10", "--d", "2", "--delta1", "1/50", "--delta2", "1/5",
+            "--delta", "1/100", "--trials", "2", "--seed", "1"]
+    out = tmp_path / "t.csv"
+    assert main(base + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: code has 536870912 codewords (budget 10000000)\n")
+    assert not out.exists()
+    assert main(base + ["--k", "6", "--out", str(out)]) == 0
+    assert " k=6 m=160 " in out.read_text().splitlines()[0]

@@ -160,6 +160,18 @@ def test_sample_balanced_vectors_respects_bound():
         assert abs(coordinate_sum(v, 30)) <= 6
 
 
+@pytest.mark.parametrize("n, s", [(11, 20), (1, 2), (3, 4), (29, 30)])
+def test_sample_balanced_vectors_rejects_unsatisfiable_bound(n, s):
+    # Odd n has |coordinate sum| >= 1, so n/s < 1 admits no vector at all.
+    with pytest.raises(ValueError, match="no vector"):
+        sample_balanced_vectors(n, s, 3, random.Random(41))
+
+
+def test_sample_balanced_vectors_at_the_tightest_odd_bound():
+    for v in sample_balanced_vectors(11, 11, 20, random.Random(42)):
+        assert abs(coordinate_sum(v, 11)) == 1
+
+
 def test_hard_function_no_erasure_for_s_1():
     # threshold 2n/s exceeds n, so nothing is erased and f is exactly linear
     rng = random.Random(41)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,17 @@ import pytest
 from gridcode.cube import CubeFunction, corrupt, distance
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
-from gridcode.oracle import CodeEnumeration, _min_disagreement, certify_far, exact_delta_d
+from gridcode import oracle
+from gridcode.oracle import (
+    CodeEnumeration,
+    _min_disagreement,
+    _weighted_counts,
+    certify_far,
+    exact_delta_d,
+    nearest_codeword,
+)
 from gridcode.poly import MultilinearPoly, from_truth_table, random_poly
+from gridcode.tolerant import _closest_on_points
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -203,16 +213,18 @@ def test_value_blocks_match_reference(k, d, p):
             assert np.array_equal(rows, expected)
 
 
-def _weighted_samples():
-    """Seeded (code, points, table, weights) cases: multisets drawn with
-    replacement, tables uniform (many ties) or a planted codeword with a
-    few changed points."""
-    rng = random.Random(71)
-    for k, d, p in [(4, 1, 2), (5, 2, 2), (4, 1, 3), (3, 2, 5), (2, 1, 31), (1, 1, 131)]:
+def _weighted_samples(cases=((4, 1, 2, 6), (5, 2, 2, 6), (4, 1, 3, 6), (3, 2, 5, 6),
+                             (2, 1, 31, 6), (1, 1, 131, 6)),
+                      seed=71, sizes=(3, 12, 28, 60)):
+    """Seeded (code, points, table, weights) cases, ``trials`` per (k, d, p):
+    multisets drawn with replacement, tables uniform (many ties) or a
+    planted codeword with a quarter of the sampled points changed."""
+    rng = random.Random(seed)
+    for k, d, p, trials in cases:
         field = PrimeField(p)
         code = CodeEnumeration(k, d, field)
-        for trial in range(6):
-            sample = [rng.randrange(1 << k) for _ in range(rng.choice((3, 12, 28, 60)))]
+        for trial in range(trials):
+            sample = [rng.randrange(1 << k) for _ in range(rng.choice(sizes))]
             points = sorted(set(sample))
             weights = np.asarray([sample.count(pt) for pt in points], dtype=np.int64)
             if trial % 2:
@@ -236,3 +248,87 @@ def test_weighted_scan_matches_int64_product():
         cases += 1
         tied += int(np.count_nonzero(counts == counts[best]) > 1)
     assert cases == 36 and tied > 0
+
+
+def _full_cube_cases():
+    """(d, field, table) cases for the transforms: every table with n <= 3
+    for p = 3, n <= 2 for p = 5 and n = 2 for d = 2 over F_2; seeded tables
+    at n = 3 for p = 5; then, per n, seeded uniform (many ties), planted,
+    and planted with up to half of the points changed, up to n = 7 for p = 3
+    and n = 6 for d = 2 over F_2."""
+    for d, p, top in ((1, 3, 3), (1, 5, 2), (2, 2, 2)):
+        for n in range(d, top + 1):
+            for values in itertools.product(range(p), repeat=1 << n):
+                yield d, PrimeField(p), list(values)
+    rng = random.Random(80)
+    F5 = PrimeField(5)
+    for _ in range(2000):
+        yield 1, F5, [rng.randrange(5) for _ in range(8)]
+    for d, field, sizes, per_size in ((1, F3, range(1, 8), 9), (2, F2, range(2, 7), 3)):
+        for n in sizes:
+            for i in range(per_size):
+                if i % 3 == 0:
+                    yield d, field, CubeFunction.random(n, field, rng).values
+                    continue
+                f = random_poly(n, d, field, rng).truth_table()
+                if i % 3 == 2:
+                    f = corrupt(f, Fraction(rng.randrange((1 << n) // 2 + 1), 1 << n), rng)
+                yield d, field, f.values
+
+
+def test_transforms_match_block_scan_on_full_cube():
+    cases = 0
+    for d, field, values in _full_cube_cases():
+        n = (len(values) - 1).bit_length()
+        code = CodeEnumeration(n, d, field)
+        table = np.asarray(values, dtype=np.uint8)
+        # unit weights keep the scan in bounded blocks: the cached full-cube
+        # matrix for n = 6, d = 2 would take 256 MB
+        expected = _min_disagreement(code, range(1 << n), table, np.ones(1 << n, np.int64))
+        assert nearest_codeword(code, table) == expected, (d, field.p, values)
+        assert exact_delta_d(CubeFunction(n, field, values), d) == (
+            Fraction(expected[1], 1 << n), code.poly_at(expected[0]))
+        cases += 1
+    assert cases == (9 + 81 + 6561) + (25 + 625) + 16 + 2000 + 7 * 9 + 5 * 3
+
+
+# (k, d, p, trials) for the transforms: d = 1 over F_2, F_3, F_5, F_31 and
+# F_257, and d = 2 over F_2, at sizes up to the tolerant test's desk profile.
+TRANSFORM_MULTISETS = [(1, 1, 2, 8), (3, 1, 2, 8), (6, 1, 2, 3), (8, 1, 2, 3), (2, 2, 2, 8),
+                       (4, 2, 2, 8), (5, 2, 2, 8), (6, 2, 2, 3), (1, 1, 3, 8), (4, 1, 3, 8),
+                       (6, 1, 3, 3), (3, 1, 5, 8), (2, 1, 31, 8), (1, 1, 257, 8)]
+
+
+def test_transforms_match_block_scan_on_weighted_multisets():
+    cases = tied = 0
+    for code, points, table, weights in _weighted_samples(TRANSFORM_MULTISETS, 81,
+                                                          (1, 3, 12, 40, 150)):
+        expected = _min_disagreement(code, points, table, weights)
+        assert nearest_codeword(code, table, weights, points) == expected
+        # the same multiset as full-cube arrays with weight zero off the sample
+        full_table = np.zeros(1 << code.k, dtype=table.dtype)
+        full_weights = np.zeros(1 << code.k, dtype=np.int64)
+        full_table[points], full_weights[points] = table, weights
+        assert nearest_codeword(code, full_table, full_weights) == expected
+        tied += sum(int(np.count_nonzero(_weighted_counts(block != table, weights) == expected[1]))
+                    for _, block in code.iter_value_blocks(points)) > 1
+        cases += 1
+    assert cases == 10 * 8 + 4 * 3 and tied > cases // 3
+
+
+@pytest.mark.parametrize("k, d, p", [(7, 2, 2), (8, 2, 2), (5, 2, 3), (13, 1, 5), (2, 1, 257)])
+def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a nearest-codeword path ran past the budget check")
+
+    for name in ("_histogram_nearest", "_coset_nearest", "_min_disagreement"):
+        monkeypatch.setattr(oracle, name, unreachable)
+    field = PrimeField(p)
+    size = p ** sum(math.comb(k, i) for i in range(d + 1))
+    message = f"code has {size} codewords (budget 10000000)"
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_delta_d(CubeFunction.constant(k, field), d)
+    assert str(exc.value) == message and exc.value.required == size
+    with pytest.raises(BudgetExceededError) as exc:
+        _closest_on_points({0: 1}, {0: 3}, k, d, field, 10**7)
+    assert str(exc.value) == message

@@ -8,10 +8,11 @@ import pytest
 from gridcode.cube import CubeFunction, apply_restriction, bucket_masks, corrupt, query_mask
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
-from gridcode.oracle import CodeEnumeration, exact_delta_d
+from gridcode.oracle import CodeEnumeration, _min_disagreement, exact_delta_d
 from gridcode.poly import from_truth_table, random_poly
 from gridcode.tolerant import (
     TolerantParams,
+    _closest_on_points,
     closest_poly_on_set,
     restricted_min_distance,
     sample_query_set,
@@ -239,3 +240,31 @@ def test_interpolation_matches_global_closest_when_distance_allows():
             assert h == expected
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "k, d, p", [(5, 2, 2), (6, 1, 2), (4, 1, 3), (3, 1, 5), (1, 1, 257), (3, 2, 3)]
+)
+def test_closest_on_points_matches_block_scan(k, d, p):
+    # The weighted step of the tolerant test, on seeded multisets of the
+    # sizes the desk profile samples, against the block scan over the
+    # distinct points; the last case takes the scan itself.
+    field = PrimeField(p)
+    code = CodeEnumeration(k, d, field)
+    rng = random.Random(90 + k + d + p)
+    for trial in range(6):
+        sample = sample_query_set(k, rng.choice((5, 40, 149)), rng)
+        weights = Counter(sample)
+        if trial % 2:
+            f = random_poly(k, d, field, rng).truth_table()
+            values = {pt: f.values[pt] for pt in weights}
+            for pt in rng.sample(sorted(weights), len(weights) // 4):
+                values[pt] = rng.randrange(p)
+        else:
+            values = {pt: rng.randrange(p) for pt in weights}
+        points = sorted(weights)
+        table = np.asarray([values[pt] for pt in points], dtype=np.uint8 if p < 256 else np.int64)
+        weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
+        best, count = _min_disagreement(code, points, table, weight_vec)
+        poly, mu = _closest_on_points(values, dict(weights), k, d, field, 10**7)
+        assert (code.index_of(poly), mu) == (best, Fraction(count, len(sample)))
