@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import cube, decoder, dualwitness, lowerbound, oracle, restrict, tolerant
 from .errors import BudgetExceededError, CapacityError
 from .field import PrimeField
-from .poly import random_poly, write_poly
+from .poly import CorruptedPoly, PolyPoints, random_poly, write_poly
 from .rand import derive_rng, derive_seed
 from .tester import TesterParams, run_test_once
 
@@ -74,6 +74,27 @@ def _map_chunks(worker, args: tuple, trials: int):
     return [sum(values) for values in zip(*parts)]
 
 
+# --- corrupted inputs ---------------------------------------------------
+
+# Point evaluation costs about 25-40 ns per point read and coefficient, the
+# truth table about 150-200 ns per point of the cube, so the table is the
+# cheaper base once reads times coefficients pass a few times 2^n.
+TABLE_READ_FACTOR = 4
+
+
+def _corrupted_input(poly, reads: int, delta, rng) -> CorruptedPoly:
+    """poly with the corruption drawn from rng, read as CorruptedPoly.
+
+    Its base is the polynomial's truth table when ``reads`` point reads
+    would cost more than building it, else its ``PolyPoints``.  Neither
+    choice makes a random call, so the reads and the rng are the same.
+    """
+    offsets = cube.corruption_offsets(poly.n, poly.field.p, Fraction(delta), rng)
+    if reads * len(poly.coeffs) > TABLE_READ_FACTOR << poly.n:
+        return CorruptedPoly(poly.truth_table(), offsets)
+    return CorruptedPoly(PolyPoints(poly), offsets)
+
+
 # --- test ---------------------------------------------------------------
 
 
@@ -85,7 +106,7 @@ def _test_chunk(args: tuple, lo: int, hi: int) -> tuple:
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
         poly = random_poly(n, d, prime, rng)
-        f = cube.corrupt(poly.truth_table(), Fraction(delta), rng)
+        f = _corrupted_input(poly, params.queries_per_run, delta, rng)
         if not run_test_once(f, params, rng).accepted:
             rejections += 1
     return (rejections,)
@@ -121,14 +142,15 @@ def _decode_chunk(args: tuple, lo: int, hi: int) -> tuple:
     params = decoder.DecoderParams.for_degree(p, d)
     setup = derive_rng(seed, -1)
     poly = random_poly(n, d, prime, setup)
-    f = cube.corrupt(poly.truth_table(), Fraction(delta), setup)
+    # each trial reads the decoder's queries and the true value at x
+    f = _corrupted_input(poly, (hi - lo) * (params.query_budget + 1), delta, setup)
     successes = 0
     queries = 0
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
         x = rng.randrange(1 << n)
         value, log = decoder.local_decode(f, x, params, rng, mode=mode)
-        if value.residue == poly.evaluate_residue(x):
+        if value.residue == f.base.values_at((x,))[0]:
             successes += 1
         queries += log.query_count
     return successes, queries
@@ -174,7 +196,7 @@ def _tolerant_chunk(args: tuple, lo: int, hi: int) -> tuple:
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
         poly = random_poly(n, d, prime, rng)
-        f = cube.corrupt(poly.truth_table(), Fraction(delta), rng)
+        f = _corrupted_input(poly, params.max_queries, delta, rng)
         report = tolerant.tolerant_test(f, params, rng)
         if report.accepted:
             accepts += 1
@@ -504,7 +526,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         params = {
             "n": args.n,
             "d": args.d,
-            "k": args.k if args.k is not None else args.d + 2,
+            "k": TesterParams.desk(args.d, args.k).k,
             "p": args.p,
             "deltas": [Fraction(x) for x in args.delta],
         }

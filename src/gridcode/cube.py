@@ -3,6 +3,12 @@
 Convention used throughout the package: the point x in {0,1}^n is the mask m
 with bit i of m equal to x_{i+1}, i.e. coordinate 1 is the least significant
 bit.  Values are stored as raw residues (ints in [0, p)) for speed.
+
+The tester, the decoder and the tolerant tester read a function only through
+``values_at(masks)``, the residues at a sequence of point masks.  ``CubeFunction``
+answers it from its table; ``poly.CorruptedPoly`` answers it from a
+polynomial and the sparse offsets of ``corruption_offsets``, without a table
+of the corrupted function.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ class CubeFunction:
     def random(cls, n: int, field: PrimeField, rng) -> "CubeFunction":
         return cls(n, field, [rng.randrange(field.p) for _ in range(1 << n)])
 
+    def values_at(self, masks) -> list[int]:
+        """The residues at the given point masks, in order."""
+        values = self.values
+        return [values[m] for m in masks]
+
     def __eq__(self, other):
         return (
             isinstance(other, CubeFunction)
@@ -81,20 +92,32 @@ def distance(f: CubeFunction, g: CubeFunction) -> Fraction:
     return Fraction(diff, 1 << f.n)
 
 
+def corruption_offsets(n: int, p: int, delta, rng) -> dict[int, int]:
+    """Draw floor(delta * 2^n) distinct uniform positions of {0,1}^n, each
+    with a uniform nonzero offset in [1, p).
+
+    The random calls are one ``rng.sample`` of the positions, then one
+    ``randrange(1, p)`` per position in sampled order; neither reads a table.
+    """
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
+    if not 0 <= delta <= 1:
+        raise ValueError("corruption rate must be in [0, 1]")
+    size = 1 << n
+    flips = int(Fraction(delta) * size)
+    return {pos: rng.randrange(1, p) for pos in rng.sample(range(size), flips)}
+
+
 def corrupt(f: CubeFunction, delta, rng) -> CubeFunction:
     """Change f at exactly floor(delta * 2^n) distinct uniform positions.
 
     Each changed position receives a uniform value different from the old
     one, so the distance to f is exactly the flip count over 2^n.
     """
-    if not 0 <= delta <= 1:
-        raise ValueError("corruption rate must be in [0, 1]")
-    size = 1 << f.n
-    flips = int(Fraction(delta) * size)
     p = f.field.p
     values = list(f.values)
-    for pos in rng.sample(range(size), flips):
-        values[pos] = (values[pos] + rng.randrange(1, p)) % p
+    for pos, offset in corruption_offsets(f.n, p, delta, rng).items():
+        values[pos] = (values[pos] + offset) % p
     return CubeFunction(f.n, f.field, values)
 
 
@@ -140,8 +163,7 @@ def apply_restriction(f: CubeFunction, r: Restriction) -> CubeFunction:
     """
     if r.n != f.n:
         raise ValueError(f"restriction expects {r.n} variables, function has {f.n}")
-    masks = restriction_query_masks(r)
-    return CubeFunction(r.k, f.field, [f.values[m] for m in masks])
+    return CubeFunction(r.k, f.field, f.values_at(restriction_query_masks(r)))
 
 
 class SignedCubeFunction:

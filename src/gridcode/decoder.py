@@ -7,10 +7,14 @@ binomial C(d+k-i, k-i) vanishes mod p exactly for 1 <= i <= d, by Lucas'
 theorem) and leaves c * G(0) with c = C(d+k, k) invertible.  The decoder maps
 the target point to the origin of a random 2k-variable restriction, queries
 the balanced points, and inverts that relation.
+
+The oracle f is read only through ``f.values_at(masks)`` (see ``cube``), so a
+``CubeFunction`` table and a ``poly.CorruptedPoly`` oracle decode alike.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,6 +126,21 @@ class QueryLog:
         return len(self.queries)
 
 
+@functools.cache
+def _query_plan(k: int, d: int, mode: str):
+    """The queried balanced points of one mode in ascending order, the set-bit
+    positions of each, and the indices of the zero-tail points among them."""
+    if mode == FULL_BALANCED:
+        points = balanced_set(k)
+        tail = set(zero_tail_balanced_set(k, d))
+        needed = tuple(i for i, y in enumerate(points) if y in tail)
+    else:
+        points = zero_tail_balanced_set(k, d)
+        needed = tuple(range(len(points)))
+    bits = tuple(tuple(j for j in range(2 * k) if (y >> j) & 1) for y in points)
+    return tuple(points), bits, needed
+
+
 def local_decode(
     f: CubeFunction,
     x: int,
@@ -135,7 +154,8 @@ def local_decode(
     balanced point y reads f at z with z_j = y_{h(j)} xor x_j, a uniform
     point of the cube.  The full mode queries every balanced point
     (C(2k,k) queries, of which only the zero-tail ones enter the sum); the
-    reduced mode queries only the zero-tail set (C(k+d,k) queries).
+    reduced mode queries only the zero-tail set (C(k+d,k) queries).  The
+    returned value is ``decode_from_ball`` of the zero-tail answers.
     """
     if f.field.p != params.field.p:
         raise ValueError("oracle modulus does not match decoder parameters")
@@ -145,21 +165,20 @@ def local_decode(
         raise ValueError(f"unknown mode {mode!r}")
     width = 2 * params.k
     assignment = tuple(rng.randrange(width) for _ in range(f.n))
-    points = balanced_set(params.k) if mode == FULL_BALANCED else zero_tail_balanced_set(
-        params.k, params.d
-    )
-    queries = []
-    answers = {}
-    for y in points:
+    points, bits, needed = _query_plan(params.k, params.d, mode)
+    # z(y) is x xored with the variables assigned to the set bits of y.
+    buckets = [0] * width
+    for j, out in enumerate(assignment):
+        buckets[out] |= 1 << j
+    masks = []
+    for outs in bits:
         z = x
-        for j, out in enumerate(assignment):
-            if (y >> out) & 1:
-                z ^= 1 << j
-        queries.append((y, z))
-        answers[y] = f.values[z]
-    needed = zero_tail_balanced_set(params.k, params.d)
-    value = decode_from_ball({y: answers[y] for y in needed}, params)
-    # y = 0 is never queried, but the construction pins its image to x.
-    log = QueryLog(mode, x, x, assignment, tuple(queries))
-    assert log.origin_image == log.target
+        for out in outs:
+            z ^= buckets[out]
+        masks.append(z)
+    answers = f.values_at(masks)
+    p = params.field.p
+    total = sum(answers[i] for i in needed) % p
+    value = FieldElement(total * params.field.inv(params.c.residue) % p, params.field)
+    log = QueryLog(mode, x, x, assignment, tuple(zip(points, masks)))
     return value, log

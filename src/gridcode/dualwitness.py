@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, CapacityError
+from .errors import CapacityError
 from .field import FieldElement, PrimeField, binomial_sum
 from .poly import subsets_up_to
 

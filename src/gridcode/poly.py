@@ -106,6 +106,73 @@ class MultilinearPoly:
         return f"MultilinearPoly(n={self.n}, p={self.field.p}, terms={terms})"
 
 
+class PolyPoints:
+    """A polynomial evaluated point by point, with no table.
+
+    Monomials with the same coefficient and the same variables below their
+    highest one form a term (lower variables, coefficient, mask of highest
+    variables), so a point costs one subset check and one popcount per term.
+    Over F_2 a degree-1 polynomial is one term.  Bits of a mask above n are
+    ignored, as no monomial contains them.
+    """
+
+    __slots__ = ("n", "field", "constant", "terms")
+
+    def __init__(self, poly: MultilinearPoly):
+        groups: dict[tuple[int, int], int] = {}
+        for mask, c in poly.coeffs.items():
+            if mask:
+                top = 1 << (mask.bit_length() - 1)
+                groups[mask ^ top, c] = groups.get((mask ^ top, c), 0) | top
+        self.n = poly.n
+        self.field = poly.field
+        self.constant = poly.coeffs.get(0, 0)
+        self.terms = tuple((rest, c, tops) for (rest, c), tops in groups.items())
+
+    def values_at(self, masks) -> list[int]:
+        """The residues at the given point masks, in order."""
+        constant = self.constant
+        terms = self.terms
+        p = self.field.p
+        out = []
+        for x in masks:
+            total = constant
+            for rest, c, tops in terms:
+                if rest & x == rest:
+                    total += c * (x & tops).bit_count()
+            out.append(total % p)
+        return out
+
+
+class CorruptedPoly:
+    """A polynomial with sparse value offsets, read point by point.
+
+    ``base`` answers the uncorrupted values: the polynomial's ``PolyPoints``
+    or its truth table, whichever is cheaper for the reads to come.
+    ``values_at(masks)`` answers (poly(x) + offsets.get(x, 0)) mod p at each
+    mask.  With the offsets of ``cube.corruption_offsets(n, p, delta, rng)``
+    it reads exactly as ``cube.corrupt(poly.truth_table(), delta, rng)``
+    would from the same rng state, and leaves the rng in the same state,
+    but builds no corrupted table.
+    """
+
+    __slots__ = ("n", "field", "base", "offsets")
+
+    def __init__(self, base, offsets: dict[int, int]):
+        self.n = base.n
+        self.field = base.field
+        self.base = base
+        self.offsets = offsets
+
+    def values_at(self, masks) -> list[int]:
+        get = self.offsets.get
+        p = self.field.p
+        return [(v + get(x, 0)) % p for x, v in zip(masks, self.base.values_at(masks))]
+
+    def __repr__(self):
+        return f"CorruptedPoly(n={self.n}, p={self.field.p}, offsets={len(self.offsets)})"
+
+
 def evaluate(poly: MultilinearPoly, x_mask: int) -> FieldElement:
     return poly.evaluate(x_mask)
 

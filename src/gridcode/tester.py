@@ -7,6 +7,9 @@ ell and epsilon_0 together; it is astronomically conservative, so desk-scale
 profiles with small k are the default for experiments.  With a desk-scale k
 only completeness and query complexity are guaranteed; soundness is measured
 empirically.
+
+The input f is read only through ``f.values_at(masks)`` (see ``cube``), so a
+``CubeFunction`` table and a ``poly.CorruptedPoly`` oracle give the same runs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cube import CubeFunction, apply_restriction, restriction_query_masks
+from .cube import CubeFunction, restriction_query_masks
 from .poly import from_truth_table
 from .rand import derive_rng
 from .restrict import Restriction, RestrictionTranscript, sample_restriction_recursive
@@ -116,7 +119,7 @@ def run_test_once(f: CubeFunction, params: TesterParams, rng) -> TestTranscript:
         raise ValueError(f"need n > k, got n={f.n}, k={params.k}")
     restriction, log = sample_restriction_recursive(f.n, params.k, rng)
     masks = restriction_query_masks(restriction)
-    restricted = CubeFunction(params.k, f.field, [f.values[m] for m in masks])
+    restricted = CubeFunction(params.k, f.field, f.values_at(masks))
     accepted = from_truth_table(restricted).degree() <= params.d
     return TestTranscript(restriction, log, tuple(masks), restricted, accepted)
 

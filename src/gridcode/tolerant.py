@@ -6,6 +6,10 @@ the tolerant regime.  Step 2 restricts through an i.i.d. uniform variable map
 from the small cube.  Step 3 finds the exactly closest degree-d polynomial on
 S (``oracle.nearest_codeword``, weighted by multiplicity) and accepts iff its
 distance mu on S is below (delta_1 + delta_2) / 2.
+
+The input f is read only through ``f.values_at(masks)`` (see ``cube``), so a
+``CubeFunction`` table and a ``poly.CorruptedPoly`` oracle give the same
+reports.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .cube import CubeFunction, bucket_masks, query_mask
 from .field import PrimeField
 from .oracle import CodeEnumeration, _weighted_counts, nearest_codeword
-from .poly import MultilinearPoly, from_truth_table
+from .poly import MultilinearPoly
 from .restrict import UniformRestriction
 from .tester import TesterParams, amplified_test
 
@@ -152,7 +156,7 @@ def closest_poly_on_set(
     weights: dict[int, int] = {}
     for pt in sample:
         weights[pt] = weights.get(pt, 0) + 1
-    values = {pt: g.values[pt] for pt in weights}
+    values = dict(zip(weights, g.values_at(list(weights))))
     return _closest_on_points(values, weights, g.n, d, g.field, budget)
 
 
@@ -181,9 +185,8 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
     weights: dict[int, int] = {}
     for pt in sample:
         weights[pt] = weights.get(pt, 0) + 1
-    values = {
-        pt: f.values[query_mask(restriction, pt, buckets)] for pt in weights
-    }
+    masks = [query_mask(restriction, pt, buckets) for pt in weights]
+    values = dict(zip(weights, f.values_at(masks)))
     queries += len(weights)
     interpolated, mu = _closest_on_points(
         values, weights, params.k, params.d, f.field, budget=10**7

@@ -39,15 +39,23 @@ def test_repeated_invocations_are_byte_identical(tmp_path):
 
 
 def test_parallel_run_matches_serial(tmp_path):
-    args = ["test", "--n", "8", "--d", "1", "--k", "3", "--p", "2",
-            "--delta", "0.15", "--trials", "48", "--seed", "3"]
-    serial = run_cli(args, tmp_path / "serial.csv")
-    os.environ["GRIDCODE_THREADS"] = "3"
-    try:
-        parallel = run_cli(args, tmp_path / "parallel.csv")
-    finally:
-        del os.environ["GRIDCODE_THREADS"]
-    assert serial == parallel
+    # Each worker redraws the polynomial and its corruption offsets itself.
+    runs = [
+        ["test", "--n", "8", "--d", "1", "--k", "3", "--p", "2",
+         "--delta", "0.15", "--trials", "48", "--seed", "3"],
+        ["decode", "--n", "10", "--d", "2", "--p", "3", "--delta", "0", "1/20",
+         "--trials", "48", "--seed", "3"],
+        ["tolerant", "--n", "9", "--d", "1", "--p", "2", "--delta1", "1/50",
+         "--delta2", "1/5", "--delta", "1/100", "1/4", "--trials", "24", "--seed", "3"],
+    ]
+    for args in runs:
+        serial = run_cli(args, tmp_path / "serial.csv")
+        os.environ["GRIDCODE_THREADS"] = "3"
+        try:
+            parallel = run_cli(args, tmp_path / "parallel.csv")
+        finally:
+            del os.environ["GRIDCODE_THREADS"]
+        assert serial == parallel
 
 
 def test_buckets_exact_matches_enumeration(tmp_path):
@@ -302,6 +310,29 @@ ARTIFACT_SHA256 = [
     ("tolerant --n 8 --d 2 --p 3 --k 4 --delta1 1/50 --delta2 1/5 --delta 0 1/10 "
      "--trials 20 --seed 5",
      "c576bc16598dae3fb53f4e479386a8fc55dd6c242f5636397dfbaa20b051cec1"),
+    # test and decode as full 2^n tables wrote them: the README invocations at
+    # fewer trials, the desk default k = d + 2 over F_3, d = 1 over F_5,
+    # both decoder modes over F_3, k = 4 over F_2 (d = 3), k = 5 over F_5
+    # (252 queries per call) and JSON output
+    ("test --n 12 --d 1 --k 4 --p 2 --delta 0.01 0.05 0.15 --trials 400 --seed 7",
+     "1d4f3f7c04bfcdd5c752eda5e6681b173d8f99cba836d09885ab39c376f4abad"),
+    ("decode --n 16 --d 1 --p 2 --delta 0 0.04 --trials 300 --seed 7",
+     "95ad8f663731ad8c5fc15471ea623c0a182a6ef47f810d6d332a74fb3385db70"),
+    ("test --n 9 --d 2 --p 3 --delta 0 1/20 1/10 --trials 200 --seed 5",
+     "6a32ac7e18d5d946e986171333e05aceb5464c0588697c2d8c4ed8e1a871fdc3"),
+    ("test --n 10 --d 1 --k 5 --p 5 --delta 1/50 1/8 --trials 150 --seed 6",
+     "f30002f271948092abaa540303c8e7ea0fd053915e06987c4a98556dc7bace23"),
+    ("decode --n 10 --d 2 --p 3 --mode B_prime_only --delta 0 1/50 1/10 "
+     "--trials 200 --seed 5",
+     "4d97566884a8bf6f7b6b1459f965c22cb0c55f4053d125c1ed65d06d0a999fd8"),
+    ("decode --n 11 --d 2 --p 3 --delta 1/100 1/20 --trials 150 --seed 8",
+     "52982ce9ef9cbdc022b5b7a5bffb56d77294d7146e203cffb11316f75c583649"),
+    ("decode --n 12 --d 3 --p 2 --delta 1/200 1/30 --trials 150 --seed 9",
+     "2e28a00285145ce811da43a55b760e101dc3e90efc8ebf076dc031ec48024d5a"),
+    ("test --n 8 --d 1 --p 2 --delta 0 1/4 --trials 100 --seed 2 --format json",
+     "cb5145a63f1d39b12372f43256d963c555512cd64b18dbbe3fe52bc741d9ba47"),
+    ("decode --n 9 --d 1 --p 5 --delta 0 1/25 --trials 100 --seed 2 --format json",
+     "911c1960be43e49b8895860c839273cd8a742df8a629ef05a11097931528a797"),
 ]
 
 
