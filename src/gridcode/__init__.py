@@ -3,7 +3,7 @@ decoding over small characteristic, tolerant testing, and the combinatorial
 machinery behind them (bucket processes, dual witnesses, balanced-vector
 spans), all with exact small-case oracles."""
 
-from .cube import CubeFunction, SignedCubeFunction, apply_restriction, corrupt, distance
+from .cube import CubeFunction, apply_restriction, corrupt, distance
 from .decoder import DecoderParams, balanced_set, decode_from_ball, local_decode
 from .dualwitness import DualWitness, build_witness, greedy_code, verify_witness
 from .errors import BudgetExceededError, CapacityError
@@ -51,7 +51,6 @@ __all__ = [
     "MultilinearPoly",
     "PrimeField",
     "Restriction",
-    "SignedCubeFunction",
     "SpanInstance",
     "TesterParams",
     "TolerantParams",

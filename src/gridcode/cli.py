@@ -25,8 +25,6 @@ from .poly import CorruptedPoly, PolyPoints, random_poly, write_poly
 from .rand import derive_rng, derive_seed
 from .tester import TesterParams, run_test_once
 
-SUBCOMMANDS = ("test", "decode", "tolerant", "buckets", "span", "witness", "oracle")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

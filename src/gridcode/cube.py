@@ -166,48 +166,6 @@ def apply_restriction(f: CubeFunction, r: Restriction) -> CubeFunction:
     return CubeFunction(r.k, f.field, f.values_at(restriction_query_masks(r)))
 
 
-class SignedCubeFunction:
-    """Truth table over {-1,1}^n via the correspondence a -> 1 - 2a.
-
-    Bit i of the index mask is 1 exactly when coordinate i+1 equals -1.  When
-    ``field`` is None the values are exact integers or rationals instead of
-    residues (used by the characteristic-0 experiments).
-    """
-
-    __slots__ = ("n", "field", "values")
-
-    def __init__(self, n: int, field, values):
-        if not 1 <= n <= MAX_VARIABLES:
-            raise ValueError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
-        values = list(values)
-        if len(values) != 1 << n:
-            raise ValueError(f"expected {1 << n} values, got {len(values)}")
-        if field is not None:
-            values = _to_residues(values, field.p)
-        self.n = n
-        self.field = field
-        self.values = values
-
-    def coordinate_sum(self, mask: int) -> int:
-        """Sum over Z of the +-1 coordinates of the point with this mask."""
-        return self.n - 2 * bin(mask).count("1")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedCubeFunction)
-            and other.n == self.n
-            and other.field == self.field
-            and other.values == self.values
-        )
-
-
-def signed_distance(f: SignedCubeFunction, g: SignedCubeFunction) -> Fraction:
-    if f.n != g.n:
-        raise ValueError("distance requires matching dimension")
-    diff = sum(a != b for a, b in zip(f.values, g.values))
-    return Fraction(diff, 1 << f.n)
-
-
 def write_truth_table(f: CubeFunction, stream) -> None:
     """Text format: first line "n p", then the 2^n residues in mask order."""
     stream.write(f"{f.n} {f.field.p}\n")

@@ -117,7 +117,6 @@ class QueryLog:
 
     mode: str
     target: int
-    origin_image: int  # where y = 0 would be queried; equals target
     assignment: tuple[int, ...]  # variable -> output index in [2k]
     queries: tuple[tuple[int, int], ...]  # (y mask over 2k vars, oracle mask)
 
@@ -180,5 +179,5 @@ def local_decode(
     p = params.field.p
     total = sum(answers[i] for i in needed) % p
     value = FieldElement(total * params.field.inv(params.c.residue) % p, params.field)
-    log = QueryLog(mode, x, x, assignment, tuple(zip(points, masks)))
+    log = QueryLog(mode, x, assignment, tuple(zip(points, masks)))
     return value, log

@@ -59,38 +59,18 @@ def greedy_code(k: int, lo: int, hi: int, target_size: int) -> list[int]:
 
 
 def _kernel_vector(rows: list[list[int]], field: PrimeField) -> list[int]:
-    """A nonzero kernel vector of an under-determined system over F_p.
+    """A nonzero kernel vector of an under-determined system over F_p: 1 at
+    the first free column of the reduced rows, 0 at the other free columns.
 
-    Gaussian elimination pivoting on the first nonzero column; with more
-    columns than rows a free column always remains.
+    With more columns than rows a free column always remains.
     """
-    p = field.p
-    rows = [list(r) for r in rows]
     cols = len(rows[0]) if rows else 0
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                factor = rows[r][col] % p
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    free = next(c for c in range(cols) if c not in pivot_of_col)
+    reduced, pivots = field.row_reduce(rows, cols)
+    free = next(c for c in range(cols) if c not in pivots)
     solution = [0] * cols
     solution[free] = 1
-    for col, r in pivot_of_col.items():
-        solution[col] = (-rows[r][free]) % p
+    for row, col in zip(reduced, pivots):
+        solution[col] = -row[free] % field.p
     return solution
 
 

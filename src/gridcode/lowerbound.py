@@ -1,8 +1,8 @@
 """Impossibility machinery for decoding over large or zero characteristic.
 
 Vectors of {-1,1}^n are stored as bitmasks with bit j set exactly when
-coordinate j+1 is -1 (matching the a -> 1-2a correspondence used by
-``SignedCubeFunction``).  The core question: is the all-ones vector a linear
+coordinate j+1 is -1, so the mask of a point of {0,1}^n in ``cube`` maps to
+its image under a -> 1-2a.  The core question: is the all-ones vector a linear
 combination of at most t nearly balanced vectors?  Over Q a successful
 combination carries a Cramer certificate (integers a_i, b with |a_i|, |b|
 bounded by t!), and the hard erased-linear-function distribution turns the
@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import SignedCubeFunction
 from .errors import BudgetExceededError
 from .field import PrimeField
 
@@ -89,18 +88,6 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _pattern_rows(subset: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Distinct coordinate patterns of the chosen vectors, as +-1 tuples.
-
-    Coordinate j contributes the row (x^1_j, ..., x^u_j); the span equation
-    holds for all n coordinates iff it holds for each distinct pattern.
-    """
-    rows = set()
-    for j in range(n):
-        rows.add(tuple(-1 if (v >> j) & 1 else 1 for v in subset))
-    return sorted(rows)
-
-
 def _solve_pattern_system(rows: list[tuple[int, ...]], field: PrimeField | None,
                           affine: bool):
     """Solve <c, row> = 1 for all rows (plus sum c = 1 in affine mode).
@@ -117,7 +104,14 @@ def _solve_pattern_system(rows: list[tuple[int, ...]], field: PrimeField | None,
         rhs.append(1)
 
     if field is not None:
-        return _solve_mod_p(system, rhs, field)
+        reduced, pivots = field.row_reduce(
+            [row + [b] for row, b in zip(system, rhs)], u)
+        if any(row[-1] for row in reduced[len(pivots):]):
+            return False, None, None
+        solution = [0] * u
+        for row, col in zip(reduced, pivots):
+            solution[col] = row[-1]
+        return True, tuple(solution), None
 
     # Select u independent rows by rational elimination, tracking originals.
     frac_rows = [[Fraction(v) for v in row] + [Fraction(b)]
@@ -177,34 +171,6 @@ def _back_substitute(reduced: list[list[Fraction]], u: int) -> list[Fraction]:
             acc -= row[c] * solution[c]
         solution[lead] = acc
     return solution
-
-
-def _solve_mod_p(system: list[list[int]], rhs: list[int], field: PrimeField):
-    p = field.p
-    u = len(system[0])
-    aug = [[v % p for v in row] + [b % p] for row, b in zip(system, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(u):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = field.inv(aug[rank][col])
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][-1]:
-            return False, None, None
-    solution = [0] * u
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][-1]
-    return True, tuple(solution), None
 
 
 @dataclass(frozen=True)
@@ -430,7 +396,7 @@ def t_span_contains(
         subset = _find_spanning_subset(candidates, size, n, oracle)
         if subset is None:
             continue
-        rows = _pattern_rows(subset, n)
+        rows = sorted(_rows_from_key(_pattern_key(subset, n), size))
         ok, coefficients, certificate = _solve_pattern_system(rows, field, affine)
         assert ok
         if field is None and certificate is not None and not affine:
@@ -456,27 +422,22 @@ class HardFunction:
     s: int
     field: PrimeField | None
     coefficients: tuple[int, ...]
-    table: SignedCubeFunction
+    values: tuple  # indexed by mask: residues over F_p, integers over Q
     erased_count: int
 
     def linear_value(self, mask: int):
         """l at the point encoded by the mask (before erasure)."""
-        total = 0
-        for j, a in enumerate(self.coefficients):
-            total += -a if (mask >> j) & 1 else a
-        if self.field is not None:
-            total %= self.field.p
-        return total
+        return _linear_value(self.coefficients, self.field, mask)
 
     def value(self, mask: int):
-        return self.table.values[mask]
+        return self.values[mask]
 
     def erased_fraction(self) -> Fraction:
         return Fraction(self.erased_count, 1 << self.n)
 
     def distance_to_linear(self) -> Fraction:
         diff = sum(
-            self.table.values[m] != self.linear_value(m) for m in range(1 << self.n)
+            self.values[m] != self.linear_value(m) for m in range(1 << self.n)
         )
         return Fraction(diff, 1 << self.n)
 
@@ -508,6 +469,14 @@ def sample_hard_function(
     return _build_hard_table(n, s, field, coefficients)
 
 
+def _linear_value(coefficients, field: PrimeField | None, mask: int):
+    """sum a_j x_j at the +-1 point encoded by the mask, mod p over F_p."""
+    total = 0
+    for j, a in enumerate(coefficients):
+        total += -a if (mask >> j) & 1 else a
+    return total if field is None else total % field.p
+
+
 def _build_hard_table(n, s, field, coefficients) -> HardFunction:
     values = []
     erased = 0
@@ -517,14 +486,8 @@ def _build_hard_table(n, s, field, coefficients) -> HardFunction:
             values.append(0)
             erased += 1
         else:
-            total = 0
-            for j, a in enumerate(coefficients):
-                total += -a if (mask >> j) & 1 else a
-            if field is not None:
-                total %= field.p
-            values.append(total)
-    table = SignedCubeFunction(n, field, values)
-    return HardFunction(n, s, field, coefficients, table, erased)
+            values.append(_linear_value(coefficients, field, mask))
+    return HardFunction(n, s, field, coefficients, tuple(values), erased)
 
 
 @dataclass(frozen=True)

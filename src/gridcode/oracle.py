@@ -11,8 +11,9 @@ exact paths, all with that result:
 * d = 2 over F_2: one Walsh-Hadamard transform per quadratic part, that is
   per coset of first-order Reed-Muller, O(2^C(k,2) k 2^k).
 * everything else: the block scan ``_min_disagreement``, which compares the
-  input with every codeword at every point, O(p^C(k,<=d) 2^k).  It is also
-  the reference the transforms are tested against.
+  input with every codeword at every point, O(p^C(k,<=d) 2^k), one block of
+  codewords at a time and with nothing cached between calls.  It is also the
+  reference the transforms are tested against.
 
 Budgets count p^C(k,<=d) codewords on every path and are hard errors, never
 silent approximations.
@@ -28,10 +29,6 @@ from .cube import CubeFunction
 from .errors import BudgetExceededError
 from .field import PrimeField, binomial_sum
 from .poly import MultilinearPoly, subsets_up_to
-
-# Full-cube value matrices up to this many bytes are cached per (k, d, p).
-_CACHE_BYTE_LIMIT = 1 << 28
-_matrix_cache: dict = {}
 
 _BLOCK_ROWS = 1 << 13
 
@@ -148,18 +145,6 @@ class CodeEnumeration:
             matrix[start:start + len(block)] = block
         return matrix
 
-    def cached_full_matrix(self) -> np.ndarray | None:
-        """Value matrix over the entire cube, or None if it would be too big."""
-        key = (self.k, self.d, self.field.p)
-        hit = _matrix_cache.get(key)
-        if hit is not None:
-            return hit
-        if self.size * (1 << self.k) > _CACHE_BYTE_LIMIT:
-            return None
-        matrix = self.value_matrix(range(1 << self.k))
-        _matrix_cache[key] = matrix
-        return matrix
-
     def __iter__(self):
         for index in range(self.size):
             yield self.poly_at(index)
@@ -182,17 +167,8 @@ def _min_disagreement(code: CodeEnumeration, points, table: np.ndarray,
     First index attaining the minimum wins, which is the lexicographically
     smallest coefficient vector.
     """
-    points = list(points)
-    full = None
-    if weights is None and points == list(range(1 << code.k)):
-        full = code.cached_full_matrix()
     best_index = 0
     best_count = None
-    if full is not None:
-        counts = np.count_nonzero(full != table[None, :], axis=1)
-        best_index = int(np.argmin(counts))
-        best_count = int(counts[best_index])
-        return best_index, best_count
     for start, block in code.iter_value_blocks(points):
         neq = block != table[None, :]
         if weights is None:

@@ -60,9 +60,6 @@ class MultilinearPoly:
             return 0
         return max(bin(m).count("1") for m in self.coeffs)
 
-    def coefficient(self, mask: int) -> FieldElement:
-        return FieldElement(self.coeffs.get(mask, 0), self.field)
-
     def evaluate_residue(self, x_mask: int) -> int:
         """Value at the point with the given mask, as a raw residue."""
         total = 0
@@ -171,14 +168,6 @@ class CorruptedPoly:
 
     def __repr__(self):
         return f"CorruptedPoly(n={self.n}, p={self.field.p}, offsets={len(self.offsets)})"
-
-
-def evaluate(poly: MultilinearPoly, x_mask: int) -> FieldElement:
-    return poly.evaluate(x_mask)
-
-
-def degree(poly: MultilinearPoly) -> int:
-    return poly.degree()
 
 
 def from_truth_table(f: CubeFunction) -> MultilinearPoly:

@@ -79,11 +79,6 @@ class Restriction:
         """Sorted sizes of the preimage classes."""
         return tuple(sorted(len(b) for b in self.buckets()))
 
-    def identity(self) -> bool:
-        return self.n == self.k and self.shift_mask == 0 and all(
-            j == i for i, j in enumerate(self.var_to_output)
-        )
-
 
 class UniformRestriction(Restriction):
     """Restriction sampled with i.i.d. uniform phi; buckets may be empty."""
@@ -293,26 +288,28 @@ def _sample_parents(r: int, k: int, rng) -> list[int]:
     return [0] * k + [rng.randrange(i) for i in range(k, r)]
 
 
-def _parent_bucket_sizes(r: int, k: int, parents) -> list[int]:
-    """Bucket sizes of the parent process; parents[i] < i for i in [k, r)."""
+def _parent_owners(r: int, k: int, parents) -> list[int]:
+    """Bucket of each element under the parent process; parents[i] < i for
+    i in [k, r), and element j < k seeds bucket j."""
     owner = list(range(k)) + [0] * (r - k)
-    sizes = [1] * k
     for i in range(k, r):
         owner[i] = owner[parents[i]]
-        sizes[owner[i]] += 1
-    return sizes
+    return owner
+
+
+def _parent_bucket_sizes(r: int, k: int, parents) -> list[int]:
+    """Bucket sizes of the parent process, indexed by bucket."""
+    owner = _parent_owners(r, k, parents)
+    return [owner.count(j) for j in range(k)]
 
 
 def sample_buckets_direct(r: int, k: int, rng) -> BucketSample:
     """Parent-process sampler for the bucket distribution alone."""
     if not r >= k >= 1:
         raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
-    parents = _sample_parents(r, k, rng)
-    owner = list(range(k)) + [0] * (r - k)
-    buckets: list[set] = [{j} for j in range(k)]
-    for i in range(k, r):
-        owner[i] = owner[parents[i]]
-        buckets[owner[i]].add(i)
+    buckets: list[set] = [set() for _ in range(k)]
+    for i, j in enumerate(_parent_owners(r, k, _sample_parents(r, k, rng))):
+        buckets[j].add(i)
     return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
 
 

@@ -38,7 +38,6 @@ class TesterParams:
 
     d: int
     k: int
-    asymptotic: bool = False
     M: int | None = None
     eps1: float | None = None
     eps0: float | None = None
@@ -83,7 +82,6 @@ class TesterParams:
         return cls(
             d=d,
             k=k,
-            asymptotic=True,
             M=M,
             eps1=eps1,
             eps0=eps0,

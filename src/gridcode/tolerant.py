@@ -46,7 +46,6 @@ class TolerantParams:
     intolerant: TesterParams
     intolerant_reps: int = 1
     replacement: bool = True
-    asymptotic: bool = False
 
     def __post_init__(self):
         if not 0 <= self.delta1 < self.delta2 < 1:
@@ -91,11 +90,6 @@ class TolerantParams:
         return (self.delta1 + self.delta2) / 2
 
     @property
-    def far_screen(self) -> Fraction:
-        """Distance parameter of the step-1 intolerant screen."""
-        return Fraction(1, 1 << (self.d + 10))
-
-    @property
     def max_queries(self) -> int:
         return self.intolerant_reps * self.intolerant.queries_per_run + self.m
 
@@ -128,19 +122,15 @@ def sample_query_set(k: int, m: int, rng, replacement: bool = True) -> list[int]
 def _closest_on_points(
     values: dict[int, int],
     weights: dict[int, int],
-    k: int,
-    d: int,
-    field: PrimeField,
-    budget: int,
+    code: CodeEnumeration,
 ) -> tuple[MultilinearPoly, Fraction]:
-    """Exact weighted nearest codeword on a set of points.
+    """Exact weighted nearest codeword of ``code`` on a set of points.
 
     Ties break to the lexicographically smallest coefficient vector (the
     enumeration order of CodeEnumeration).
     """
-    code = CodeEnumeration(k, d, field, budget=budget)
     points = sorted(values)
-    dtype = np.uint8 if field.p < 256 else np.int64
+    dtype = np.uint8 if code.field.p < 256 else np.int64
     table = np.asarray([values[pt] for pt in points], dtype=dtype)
     weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
     total = int(weight_vec.sum())
@@ -157,7 +147,7 @@ def closest_poly_on_set(
     for pt in sample:
         weights[pt] = weights.get(pt, 0) + 1
     values = dict(zip(weights, g.values_at(list(weights))))
-    return _closest_on_points(values, weights, g.n, d, g.field, budget)
+    return _closest_on_points(values, weights, CodeEnumeration(g.n, d, g.field, budget=budget))
 
 
 @dataclass(frozen=True)
@@ -188,9 +178,8 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
     masks = [query_mask(restriction, pt, buckets) for pt in weights]
     values = dict(zip(weights, f.values_at(masks)))
     queries += len(weights)
-    interpolated, mu = _closest_on_points(
-        values, weights, params.k, params.d, f.field, budget=10**7
-    )
+    code = CodeEnumeration(params.k, params.d, f.field)
+    interpolated, mu = _closest_on_points(values, weights, code)
     assert queries <= params.max_queries
     accepted = mu < params.threshold
     return TolerantReport(accepted, True, mu, params.threshold, queries, interpolated)

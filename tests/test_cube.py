@@ -7,14 +7,12 @@ import pytest
 
 from gridcode.cube import (
     CubeFunction,
-    SignedCubeFunction,
     apply_restriction,
     corrupt,
     distance,
     query_mask,
     read_truth_table,
     restriction_query_masks,
-    signed_distance,
     write_truth_table,
 )
 from gridcode.field import PrimeField
@@ -178,15 +176,6 @@ def test_apply_restriction_consults_2k_points():
     assert len(masks) == 8 and len(set(masks)) == 8
 
 
-def test_signed_cube_function_coordinate_sum():
-    f = SignedCubeFunction(4, None, list(range(16)))
-    assert f.coordinate_sum(0b0000) == 4
-    assert f.coordinate_sum(0b1111) == -4
-    assert f.coordinate_sum(0b0011) == 0
-    g = SignedCubeFunction(4, None, [0] + list(range(1, 16)))
-    assert signed_distance(f, g) == 0
-
-
 @pytest.mark.parametrize("body", ["0 1 3 1", "0 1 -1 1", "0 1 9 1"])
 def test_read_truth_table_rejects_out_of_range_residues(body):
     with pytest.raises(ValueError, match="residue"):
@@ -195,21 +184,14 @@ def test_read_truth_table_rejects_out_of_range_residues(body):
     assert CubeFunction(2, F3, [int(v) for v in body.split()]).values[2] in range(3)
 
 
-@pytest.mark.parametrize("cls", [CubeFunction, SignedCubeFunction])
-def test_values_normalised_to_residues(cls):
+def test_values_normalised_to_residues():
     e = F5.element
-    assert cls(2, F5, [e(1), e(4), e(0), e(3)]).values == [1, 4, 0, 3]
-    mixed = cls(2, F5, [e(2), 7, -1, e(4)]).values
+    assert CubeFunction(2, F5, [e(1), e(4), e(0), e(3)]).values == [1, 4, 0, 3]
+    mixed = CubeFunction(2, F5, [e(2), 7, -1, e(4)]).values
     assert mixed == [2, 2, 4, 4] and all(type(v) is int for v in mixed)
-    assert cls(2, F5, [-6, 5, 12, 4]).values == [4, 0, 2, 4]
-    assert cls(2, F5, [0, 1, 2, 3]).values == [0, 1, 2, 3]
+    assert CubeFunction(2, F5, [-6, 5, 12, 4]).values == [4, 0, 2, 4]
+    assert CubeFunction(2, F5, [0, 1, 2, 3]).values == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="modulus mismatch"):
-        cls(2, F5, [0, 1, F3.element(2), 3])
+        CubeFunction(2, F5, [0, 1, F3.element(2), 3])
     with pytest.raises(ValueError, match="modulus mismatch"):
-        cls(2, F5, [0, 9, F3.element(2), 3])
-
-
-def test_signed_values_without_field_are_kept_exact():
-    out = SignedCubeFunction(2, None, [Fraction(-1, 3), 2, -9, 10**30]).values
-    assert out == [Fraction(-1, 3), 2, -9, 10**30]
-    assert type(out[0]) is Fraction
+        CubeFunction(2, F5, [0, 9, F3.element(2), 3])

@@ -19,7 +19,7 @@ from gridcode.oracle import (
     nearest_codeword,
 )
 from gridcode.poly import MultilinearPoly, from_truth_table, random_poly
-from gridcode.tolerant import _closest_on_points
+from gridcode.tolerant import closest_poly_on_set
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -330,5 +330,5 @@ def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
         exact_delta_d(CubeFunction.constant(k, field), d)
     assert str(exc.value) == message and exc.value.required == size
     with pytest.raises(BudgetExceededError) as exc:
-        _closest_on_points({0: 1}, {0: 3}, k, d, field, 10**7)
+        closest_poly_on_set(CubeFunction.constant(k, field), [0, 0, 0], d)
     assert str(exc.value) == message

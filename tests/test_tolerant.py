@@ -157,7 +157,6 @@ def test_tolerant_params_validation():
     params = TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10))
     assert params.eps == Fraction(9, 100)
     assert params.threshold == Fraction(11, 100)
-    assert params.far_screen == Fraction(1, 2048)
 
 
 def test_restricted_min_distance_full_cube_is_2_to_minus_d():
@@ -266,5 +265,5 @@ def test_closest_on_points_matches_block_scan(k, d, p):
         table = np.asarray([values[pt] for pt in points], dtype=np.uint8 if p < 256 else np.int64)
         weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
         best, count = _min_disagreement(code, points, table, weight_vec)
-        poly, mu = _closest_on_points(values, dict(weights), k, d, field, 10**7)
+        poly, mu = _closest_on_points(values, dict(weights), code)
         assert (code.index_of(poly), mu) == (best, Fraction(count, len(sample)))
