@@ -54,18 +54,18 @@ def _chunks(trials: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(worker, args: tuple, trials: int):
-    """Run worker(args, lo, hi) over trial ranges, possibly in parallel.
+    """Run worker(*args, lo, hi) over trial ranges, possibly in parallel.
 
     Workers must be top-level functions returning tuples of summable values;
     per-trial RNG derivation keeps results independent of the split.
     """
     threads = thread_count()
     if threads == 1 or trials < 2 * threads:
-        parts = [worker(args, 0, trials)]
+        parts = [worker(*args, 0, trials)]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(worker, args, lo, hi)
+                pool.submit(worker, *args, lo, hi)
                 for lo, hi in _chunks(trials, threads)
             ]
             parts = [f.result() for f in futures]
@@ -80,30 +80,41 @@ def _map_chunks(worker, args: tuple, trials: int):
 TABLE_READ_FACTOR = 4
 
 
-def _corrupted_input(poly, reads: int, delta, rng) -> CorruptedPoly:
+def _corrupted_input(poly, reads: int, delta: Fraction, rng) -> CorruptedPoly:
     """poly with the corruption drawn from rng, read as CorruptedPoly.
 
     Its base is the polynomial's truth table when ``reads`` point reads
     would cost more than building it, else its ``PolyPoints``.  Neither
     choice makes a random call, so the reads and the rng are the same.
     """
-    offsets = cube.corruption_offsets(poly.n, poly.field.p, Fraction(delta), rng)
+    offsets = cube.corruption_offsets(poly.n, poly.field.p, delta, rng)
     if reads * len(poly.coeffs) > TABLE_READ_FACTOR << poly.n:
         return CorruptedPoly(poly.truth_table(), offsets)
     return CorruptedPoly(PolyPoints(poly), offsets)
 
 
-# --- test ---------------------------------------------------------------
+# --- test, decode, tolerant ----------------------------------------------
 
 
-def _test_chunk(args: tuple, lo: int, hi: int) -> tuple:
-    n, d, k, p, delta, seed = args
-    prime = PrimeField(p)
-    params = TesterParams.desk(d, k)
+def _per_delta(config: ExperimentConfig, chunk, delta_key: str, row) -> list[dict]:
+    """One row per corruption level: chunk's summed totals for its trials,
+    run with the seed derived from the level's index, turned into columns
+    by row(*totals)."""
+    rows = []
+    for index, delta in enumerate(config.params["deltas"]):
+        seed = derive_seed(config.master_seed, index)
+        totals = _map_chunks(chunk, (config.params, delta, seed), config.trials)
+        rows.append({delta_key: str(delta), "trials": config.trials, **row(*totals)})
+    return rows
+
+
+def _test_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+    prime = PrimeField(p["p"])
+    params = TesterParams.desk(p["d"], p["k"])
     rejections = 0
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
-        poly = random_poly(n, d, prime, rng)
+        poly = random_poly(p["n"], p["d"], prime, rng)
         f = _corrupted_input(poly, params.queries_per_run, delta, rng)
         if not run_test_once(f, params, rng).accepted:
             rejections += 1
@@ -111,35 +122,19 @@ def _test_chunk(args: tuple, lo: int, hi: int) -> tuple:
 
 
 def run_test_command(config: ExperimentConfig) -> list[dict]:
-    p = config.params
-    rows = []
-    for index, delta in enumerate(p["deltas"]):
-        seed = derive_seed(config.master_seed, index)
-        args = (p["n"], p["d"], p["k"], p["p"], str(delta), seed)
-        (rejections,) = _map_chunks(_test_chunk, args, config.trials)
+    def row(rejections):
         rate = rejections / config.trials
         stderr = (rate * (1 - rate) / config.trials) ** 0.5
-        rows.append(
-            {
-                "delta": str(delta),
-                "trials": config.trials,
-                "rejections": rejections,
-                "rate": f"{rate:.6f}",
-                "stderr": f"{stderr:.6f}",
-            }
-        )
-    return rows
+        return {"rejections": rejections, "rate": f"{rate:.6f}", "stderr": f"{stderr:.6f}"}
+
+    return _per_delta(config, _test_chunk, "delta", row)
 
 
-# --- decode -------------------------------------------------------------
-
-
-def _decode_chunk(args: tuple, lo: int, hi: int) -> tuple:
-    n, d, p, delta, mode, seed = args
-    prime = PrimeField(p)
-    params = decoder.DecoderParams.for_degree(p, d)
+def _decode_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+    n = p["n"]
+    params = decoder.DecoderParams.for_degree(p["p"], p["d"])
     setup = derive_rng(seed, -1)
-    poly = random_poly(n, d, prime, setup)
+    poly = random_poly(n, p["d"], PrimeField(p["p"]), setup)
     # each trial reads the decoder's queries and the true value at x
     f = _corrupted_input(poly, (hi - lo) * (params.query_budget + 1), delta, setup)
     successes = 0
@@ -147,7 +142,7 @@ def _decode_chunk(args: tuple, lo: int, hi: int) -> tuple:
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
         x = rng.randrange(1 << n)
-        value, log = decoder.local_decode(f, x, params, rng, mode=mode)
+        value, log = decoder.local_decode(f, x, params, rng, mode=p["mode"])
         if value.residue == f.base.values_at((x,))[0]:
             successes += 1
         queries += log.query_count
@@ -155,45 +150,33 @@ def _decode_chunk(args: tuple, lo: int, hi: int) -> tuple:
 
 
 def run_decode_command(config: ExperimentConfig) -> list[dict]:
-    p = config.params
-    rows = []
-    for index, delta in enumerate(p["deltas"]):
-        seed = derive_seed(config.master_seed, index)
-        args = (p["n"], p["d"], p["p"], str(delta), p["mode"], seed)
-        successes, queries = _map_chunks(_decode_chunk, args, config.trials)
-        rows.append(
-            {
-                "delta": str(delta),
-                "trials": config.trials,
-                "successes": successes,
-                "rate": f"{successes / config.trials:.6f}",
-                "queries_per_call": f"{queries / config.trials:.2f}",
-            }
-        )
-    return rows
+    def row(successes, queries):
+        return {
+            "successes": successes,
+            "rate": f"{successes / config.trials:.6f}",
+            "queries_per_call": f"{queries / config.trials:.2f}",
+        }
+
+    return _per_delta(config, _decode_chunk, "delta", row)
 
 
-# --- tolerant -----------------------------------------------------------
-
-
-def _tolerant_chunk(args: tuple, lo: int, hi: int) -> tuple:
-    n, d, p, delta1, delta2, k, m, reps, replacement, delta, seed = args
-    prime = PrimeField(p)
+def _tolerant_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+    prime = PrimeField(p["p"])
     params = tolerant.TolerantParams.desk(
-        d,
-        Fraction(delta1),
-        Fraction(delta2),
-        k=k,
-        m=m,
-        intolerant_reps=reps,
-        replacement=replacement,
+        p["d"],
+        p["delta1"],
+        p["delta2"],
+        k=p["k"],
+        m=p["m"],
+        intolerant_reps=p["reps"],
+        replacement=p["replacement"],
     )
     accepts = 0
     mu_total = Fraction(0)
     mu_count = 0
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
-        poly = random_poly(n, d, prime, rng)
+        poly = random_poly(p["n"], p["d"], prime, rng)
         f = _corrupted_input(poly, params.max_queries, delta, rng)
         report = tolerant.tolerant_test(f, params, rng)
         if report.accepted:
@@ -205,25 +188,11 @@ def _tolerant_chunk(args: tuple, lo: int, hi: int) -> tuple:
 
 
 def run_tolerant_command(config: ExperimentConfig) -> list[dict]:
-    p = config.params
-    rows = []
-    for index, delta in enumerate(p["deltas"]):
-        seed = derive_seed(config.master_seed, index)
-        args = (
-            p["n"], p["d"], p["p"], str(p["delta1"]), str(p["delta2"]),
-            p["k"], p["m"], p["reps"], p["replacement"], str(delta), seed,
-        )
-        accepts, mu_total, mu_count = _map_chunks(_tolerant_chunk, args, config.trials)
+    def row(accepts, mu_total, mu_count):
         mu_mean = float(mu_total / mu_count) if mu_count else float("nan")
-        rows.append(
-            {
-                "delta_true": str(delta),
-                "trials": config.trials,
-                "mu_mean": f"{mu_mean:.6f}",
-                "accept_rate": f"{accepts / config.trials:.6f}",
-            }
-        )
-    return rows
+        return {"mu_mean": f"{mu_mean:.6f}", "accept_rate": f"{accepts / config.trials:.6f}"}
+
+    return _per_delta(config, _tolerant_chunk, "delta_true", row)
 
 
 # --- buckets ------------------------------------------------------------
@@ -233,12 +202,11 @@ def run_buckets_command(config: ExperimentConfig) -> list[dict]:
     p = config.params
     r, k, process = p["r"], p["k"], p["process"]
     if p["exact"]:
-        if process == "recursive":
-            dist = restrict.exact_bucket_distribution_recursive(r, k)
-        elif process == "cycle":
-            dist = restrict.exact_bucket_distribution_cycle(r, k)
-        else:
-            dist = restrict.exact_bucket_distribution(r, k)
+        dist = {
+            "recursive": restrict.exact_bucket_distribution_recursive,
+            "direct": restrict.exact_bucket_distribution,
+            "cycle": restrict.exact_bucket_distribution_cycle,
+        }[process](r, k)
         return [
             {
                 "sorted_sizes": "-".join(map(str, sizes)),
@@ -360,75 +328,59 @@ def _params_line(config: ExperimentConfig) -> str:
     return f"# gridcode {config.subcommand} " + " ".join(parts)
 
 
-def _write_rows(config: ExperimentConfig, rows: list[dict], stream) -> None:
-    if config.format == "json":
-        payload = {
-            "command": config.subcommand,
-            "params": {**config.params, "trials": config.trials,
-                       "seed": config.master_seed},
-            "rows": rows,
-        }
-        json.dump(payload, stream, indent=2, sort_keys=True, default=str)
-        stream.write("\n")
+def _emit(config: ExperimentConfig, output, stream) -> None:
+    """CSV rows under a ``# gridcode`` params line, or one JSON payload with
+    the rows (a list) or the result (a dict)."""
+    if config.format == "csv":
+        stream.write(_params_line(config) + "\n")
+        if output:
+            columns = list(output[0].keys())
+            stream.write(",".join(columns) + "\n")
+            for row in output:
+                stream.write(",".join(str(row[c]) for c in columns) + "\n")
         return
-    stream.write(_params_line(config) + "\n")
-    if rows:
-        columns = list(rows[0].keys())
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(str(row[c]) for c in columns) + "\n")
-
-
-def _write_object(config: ExperimentConfig, obj: dict, stream) -> None:
     payload = {
         "command": config.subcommand,
         "params": {**config.params, "trials": config.trials,
                    "seed": config.master_seed},
-        "result": obj,
+        "rows" if isinstance(output, list) else "result": output,
     }
     json.dump(payload, stream, indent=2, sort_keys=True, default=str)
     stream.write("\n")
 
 
+RUNNERS = {
+    "test": run_test_command,
+    "decode": run_decode_command,
+    "tolerant": run_tolerant_command,
+    "buckets": run_buckets_command,
+    "span": run_span_command,
+    "witness": run_witness_command,
+    "oracle": run_oracle_command,
+}
+
+
 def run(config: ExperimentConfig) -> int:
-    """Dispatch a validated config; returns a process exit status."""
+    """Run a validated config and write its artifact; returns a process exit
+    status.  The output file is opened only once the run has succeeded."""
     try:
-        if config.subcommand == "test":
-            output = run_test_command(config)
-        elif config.subcommand == "decode":
-            output = run_decode_command(config)
-        elif config.subcommand == "tolerant":
-            output = run_tolerant_command(config)
-        elif config.subcommand == "buckets":
-            output = run_buckets_command(config)
-        elif config.subcommand == "span":
-            output = run_span_command(config)
-        elif config.subcommand == "witness":
-            output = run_witness_command(config)
-        elif config.subcommand == "oracle":
-            output = run_oracle_command(config)
+        output = RUNNERS[config.subcommand](config)
+        if config.out == "-":
+            _emit(config, output, sys.stdout)
         else:
-            raise ValueError(f"unknown subcommand {config.subcommand!r}")
+            with open(config.out, "w", encoding="utf-8", newline="\n") as stream:
+                _emit(config, output, stream)
     except (BudgetExceededError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if config.out == "-":
-        _emit(config, output, sys.stdout)
-    else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as stream:
-            _emit(config, output, stream)
     return 0
 
 
-def _emit(config: ExperimentConfig, output, stream) -> None:
-    if isinstance(output, list):
-        _write_rows(config, output, stream)
-    else:
-        _write_object(config, output, stream)
-
-
 # --- argument parsing ---------------------------------------------------
+
+# Options every subcommand takes; the rest of its options are its params.
+COMMON = ("subcommand", "seed", "trials", "out", "format")
+JSON_ONLY = ("span", "witness", "oracle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,25 +390,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, trials_default=1000):
+    def common(sp, trials_default=1000, format_default="csv"):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=trials_default)
         sp.add_argument("--out", default="-")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=("csv", "json"), default=format_default)
 
     sp = sub.add_parser("test", help="rejection-rate of the local low-degree test")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--delta", type=str, nargs="+", required=True)
+    sp.add_argument("--delta", dest="deltas", metavar="DELTA", nargs="+", required=True)
     common(sp)
 
     sp = sub.add_parser("decode", help="success rate of the local decoder")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--delta", type=str, nargs="+", required=True)
+    sp.add_argument("--delta", dest="deltas", metavar="DELTA", nargs="+", required=True)
     sp.add_argument(
         "--mode",
         choices=(decoder.FULL_BALANCED, decoder.ZERO_TAIL_ONLY),
@@ -470,11 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--delta1", type=str, required=True)
     sp.add_argument("--delta2", type=str, required=True)
-    sp.add_argument("--delta", type=str, nargs="+", required=True)
+    sp.add_argument("--delta", dest="deltas", metavar="DELTA", nargs="+", required=True)
     sp.add_argument("--k", type=int, default=None,
                     help="small-cube dimension (default d+5); its p^C(k,<=d) codewords must fit "
-                         "the budget of 10^7, so --d 2 needs --k (at most 6 over F_2, 4 over "
-                         "F_3), and so does --d 1 over p >= 11")
+                         f"the budget of {oracle.CODEWORD_BUDGET:,}, so --d 2 needs --k (at most "
+                         "6 over F_2, 4 over F_3), and so does --d 1 over p >= 11")
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--reps", type=int, default=1)
     sp.add_argument("--replacement", action=argparse.BooleanOptionalAction, default=True)
@@ -495,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prime for F_p; omit for exact rationals")
     sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--budget", type=int, default=10**6)
-    common(sp, trials_default=20)
+    common(sp, trials_default=20, format_default="json")
 
     sp = sub.add_parser("witness", help="build and verify a dual witness")
     sp.add_argument("--k", type=int, required=True)
@@ -503,83 +455,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--lo", type=int, default=None)
     sp.add_argument("--hi", type=int, default=None)
-    common(sp, trials_default=1)
+    common(sp, trials_default=1, format_default="json")
 
     sp = sub.add_parser("oracle", help="exact distance to the degree-d code")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--in", dest="path", required=True)
-    common(sp, trials_default=1)
+    common(sp, trials_default=1, format_default="json")
     return parser
 
 
+def _fraction(option: str, text: str) -> Fraction:
+    """The rate ``option`` was given, such as 0.05 or 1/20; a zero
+    denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option} {text} has a zero denominator") from None
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The subcommand's options as its params, plus the desk values that
+    test and tolerant derive from them."""
     sub = args.subcommand
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if not 0 <= args.seed < 2**63:
         raise ValueError(f"--seed must be in [0, 2^63), got {args.seed}")
+    if sub in JSON_ONLY and args.format != "json":
+        raise ValueError(f"{sub} writes JSON only, not --format {args.format}")
+    params = {key: value for key, value in vars(args).items() if key not in COMMON}
+    if "deltas" in params:
+        params["deltas"] = [_fraction("--delta", x) for x in params["deltas"]]
     if sub == "test":
-        params = {
-            "n": args.n,
-            "d": args.d,
-            "k": TesterParams.desk(args.d, args.k).k,
-            "p": args.p,
-            "deltas": [Fraction(x) for x in args.delta],
-        }
-    elif sub == "decode":
-        params = {
-            "n": args.n,
-            "d": args.d,
-            "p": args.p,
-            "deltas": [Fraction(x) for x in args.delta],
-            "mode": args.mode,
-        }
+        params["k"] = TesterParams.desk(args.d, args.k).k
     elif sub == "tolerant":
+        params["delta1"] = _fraction("--delta1", args.delta1)
+        params["delta2"] = _fraction("--delta2", args.delta2)
         desk = tolerant.TolerantParams.desk(
-            args.d, Fraction(args.delta1), Fraction(args.delta2), k=args.k, m=args.m
+            args.d, params["delta1"], params["delta2"], k=args.k, m=args.m
         )
-        params = {
-            "n": args.n,
-            "d": args.d,
-            "p": args.p,
-            "delta1": Fraction(args.delta1),
-            "delta2": Fraction(args.delta2),
-            "deltas": [Fraction(x) for x in args.delta],
-            "k": desk.k,
-            "m": desk.m,
-            "reps": args.reps,
-            "replacement": args.replacement,
-        }
-    elif sub == "buckets":
-        params = {"r": args.r, "k": args.k, "exact": args.exact, "process": args.process}
-    elif sub == "span":
-        params = {
-            "n": args.n,
-            "s": args.s,
-            "t": args.t,
-            "p": args.p,
-            "count": args.count,
-            "budget": args.budget,
-        }
-    elif sub == "witness":
-        params = {"k": args.k, "d": args.d, "p": args.p, "lo": args.lo, "hi": args.hi}
-    elif sub == "oracle":
-        params = {"n": args.n, "d": args.d, "p": args.p, "path": args.path}
-    else:
-        raise ValueError(f"unknown subcommand {sub!r}")
-    fmt = args.format
-    if sub in ("span", "witness", "oracle"):
-        fmt = "json"
-    return ExperimentConfig(
-        subcommand=sub,
-        params=params,
-        master_seed=args.seed,
-        trials=args.trials,
-        out=args.out,
-        format=fmt,
-    )
+        params["k"], params["m"] = desk.k, desk.m
+    return ExperimentConfig(sub, params, args.seed, args.trials, args.out, args.format)
 
 
 @functools.cache

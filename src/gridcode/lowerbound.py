@@ -54,12 +54,11 @@ def sample_balanced_vectors(n: int, s: int, count: int, rng) -> list[int]:
 
 @dataclass(frozen=True)
 class SpanInstance:
-    """A target vector and a pool of balance-bounded candidate vectors."""
+    """A pool of balance-bounded candidate vectors for the all-plus-ones target."""
 
     n: int
     s: int
     vectors: tuple[int, ...]
-    target: int = ALL_PLUS_ONES
 
     def __post_init__(self):
         for v in self.vectors:

@@ -30,6 +30,9 @@ from .errors import BudgetExceededError
 from .field import PrimeField, binomial_sum
 from .poly import MultilinearPoly, subsets_up_to
 
+# Default number of codewords p^C(k,<=d) an oracle call may enumerate.
+CODEWORD_BUDGET = 10**7
+
 _BLOCK_ROWS = 1 << 13
 
 
@@ -68,7 +71,7 @@ class CodeEnumeration:
     fixes the monomial order.
     """
 
-    def __init__(self, k: int, d: int, field: PrimeField, budget: int = 10**7):
+    def __init__(self, k: int, d: int, field: PrimeField, budget: int = CODEWORD_BUDGET):
         if not 0 <= d <= k:
             raise ValueError(f"need 0 <= d <= k, got d={d}, k={k}")
         self.k = k
@@ -302,7 +305,7 @@ def nearest_codeword(code: CodeEnumeration, table: np.ndarray,
     return transform(code, table, weights)
 
 
-def exact_delta_d(f: CubeFunction, d: int, budget: int = 10**7):
+def exact_delta_d(f: CubeFunction, d: int, budget: int = CODEWORD_BUDGET):
     """Exact distance from f to the degree-d code, with the nearest codeword.
 
     Ties break to the lexicographically smallest coefficient vector.  Raises
@@ -315,7 +318,7 @@ def exact_delta_d(f: CubeFunction, d: int, budget: int = 10**7):
     return Fraction(count, 1 << f.n), code.poly_at(best)
 
 
-def certify_far(f: CubeFunction, d: int, bound, budget: int = 10**7) -> bool:
+def certify_far(f: CubeFunction, d: int, bound, budget: int = CODEWORD_BUDGET) -> bool:
     """True iff the exact distance to the degree-d code is at least ``bound``."""
     delta, _ = exact_delta_d(f, d, budget=budget)
     return delta >= Fraction(bound)

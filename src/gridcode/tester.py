@@ -42,7 +42,6 @@ class TesterParams:
     eps1: float | None = None
     eps0: float | None = None
     ell: int | None = None
-    hyper_constant: float = 1.0
 
     def __post_init__(self):
         if self.d < 0:
@@ -86,7 +85,6 @@ class TesterParams:
             eps1=eps1,
             eps0=eps0,
             ell=ell,
-            hyper_constant=hyper_constant,
         )
 
     @property

@@ -15,6 +15,7 @@ reports.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .cube import CubeFunction, bucket_masks, query_mask
 from .field import PrimeField
-from .oracle import CodeEnumeration, _weighted_counts, nearest_codeword
+from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, nearest_codeword
 from .poly import MultilinearPoly
 from .restrict import UniformRestriction
 from .tester import TesterParams, amplified_test
@@ -139,13 +140,11 @@ def _closest_on_points(
 
 
 def closest_poly_on_set(
-    g: CubeFunction, sample: list[int], d: int, budget: int = 10**7
+    g: CubeFunction, sample: list[int], d: int, budget: int = CODEWORD_BUDGET
 ) -> tuple[MultilinearPoly, Fraction]:
     """Closest degree-d polynomial to g on a multiset of points, with its
     multiset-weighted distance mu."""
-    weights: dict[int, int] = {}
-    for pt in sample:
-        weights[pt] = weights.get(pt, 0) + 1
+    weights = Counter(sample)
     values = dict(zip(weights, g.values_at(list(weights))))
     return _closest_on_points(values, weights, CodeEnumeration(g.n, d, g.field, budget=budget))
 
@@ -172,9 +171,7 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
     restriction = sample_uniform_restriction(f.n, params.k, rng)
     sample = sample_query_set(params.k, params.m, rng, params.replacement)
     buckets = bucket_masks(restriction)
-    weights: dict[int, int] = {}
-    for pt in sample:
-        weights[pt] = weights.get(pt, 0) + 1
+    weights = Counter(sample)
     masks = [query_mask(restriction, pt, buckets) for pt in weights]
     values = dict(zip(weights, f.values_at(masks)))
     queries += len(weights)
@@ -191,10 +188,8 @@ def restricted_min_distance(k: int, d: int, field: PrimeField, sample) -> Fracti
     By linearity this equals the minimum distance of the degree-d code
     restricted to the sample (points weighted by multiplicity).
     """
-    points = sorted(set(sample))
-    multiplicity: dict[int, int] = {}
-    for pt in sample:
-        multiplicity[pt] = multiplicity.get(pt, 0) + 1
+    multiplicity = Counter(sample)
+    points = sorted(multiplicity)
     weight_vec = np.asarray([multiplicity[pt] for pt in points], dtype=np.int64)
     total = int(weight_vec.sum())
     code = CodeEnumeration(k, d, field)

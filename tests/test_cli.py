@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -5,7 +6,7 @@ import random
 
 import pytest
 
-from gridcode.cli import main
+from gridcode.cli import COMMON, build_parser, main
 from gridcode.cube import CubeFunction, write_truth_table
 from gridcode.field import PrimeField
 from gridcode.restrict import exact_bucket_distribution
@@ -367,6 +368,17 @@ def test_reused_parser_survives_failed_calls(tmp_path, capsys):
         (["span", "--n", "12", "--s", "2", "--t", "-1", "--count", "10"], "t must be at least 1"),
         (["witness", "--k", "4", "--d", "-1"], "d must be non-negative"),
         (["span", "--n", "11", "--s", "20", "--t", "1", "--count", "3"], "no vector"),
+        (["test", "--n", "8", "--d", "1", "--delta", "0", "1/0"],
+         "--delta 1/0 has a zero denominator"),
+        (["tolerant", "--n", "9", "--d", "1", "--delta1", "1/0", "--delta2", "1/5",
+          "--delta", "0"], "--delta1 1/0 has a zero denominator"),
+        (["tolerant", "--n", "9", "--d", "1", "--delta1", "1/50", "--delta2", "1/0",
+          "--delta", "0"], "--delta2 1/0 has a zero denominator"),
+        (["span", "--n", "12", "--s", "2", "--t", "1", "--format", "csv"],
+         "span writes JSON only"),
+        (["witness", "--k", "4", "--d", "1", "--format", "csv"], "witness writes JSON only"),
+        (["oracle", "--n", "2", "--d", "1", "--in", "unread.tt", "--format", "csv"],
+         "oracle writes JSON only"),
     ],
 )
 def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, argv, message):
@@ -389,3 +401,42 @@ def test_tolerant_degree_two_needs_explicit_k(tmp_path, capsys):
     assert not out.exists()
     assert main(base + ["--k", "6", "--out", str(out)]) == 0
     assert " k=6 m=160 " in out.read_text().splitlines()[0]
+
+
+def test_unwritable_out_path_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "w.json"
+    assert main(["witness", "--k", "4", "--d", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err
+    assert not out.exists()
+
+
+def test_every_option_is_recorded_in_the_artifact(tmp_path):
+    table = tmp_path / "and.tt"
+    with open(table, "w", encoding="utf-8") as stream:
+        write_truth_table(CubeFunction(2, PrimeField(2), [0, 0, 0, 1]), stream)
+    argvs = {
+        "test": ["--n", "8", "--d", "1", "--delta", "0.1"],
+        "decode": ["--n", "8", "--d", "1", "--delta", "0"],
+        "tolerant": ["--n", "9", "--d", "1", "--delta1", "0.02", "--delta2", "0.2",
+                     "--delta", "0"],
+        "buckets": ["--r", "5", "--k", "2"],
+        "span": ["--n", "24", "--s", "4", "--t", "2", "--count", "30"],
+        "witness": ["--k", "4", "--d", "1"],
+        "oracle": ["--n", "2", "--d", "1", "--in", str(table)],
+    }
+    subparsers = next(action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers) == set(argvs)
+    for name, sp in subparsers.items():
+        out = tmp_path / f"{name}.out"
+        assert main([name, *argvs[name], "--trials", "2", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if text.startswith("# gridcode "):
+            recorded = {token.split("=")[0] for token in text.splitlines()[0].split()[3:]}
+        else:
+            recorded = set(json.loads(text)["params"])
+        options = {action.dest for action in sp._actions
+                   if action.option_strings and action.dest != "help"} - set(COMMON)
+        assert options <= recorded, name
