@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,11 +203,7 @@ def run_buckets_command(config: ExperimentConfig) -> list[dict]:
     p = config.params
     r, k, process = p["r"], p["k"], p["process"]
     if p["exact"]:
-        dist = {
-            "recursive": restrict.exact_bucket_distribution_recursive,
-            "direct": restrict.exact_bucket_distribution,
-            "cycle": restrict.exact_bucket_distribution_cycle,
-        }[process](r, k)
+        dist = restrict.exact_bucket_distribution(r, k, process)
         return [
             {
                 "sorted_sizes": "-".join(map(str, sizes)),
@@ -215,15 +212,9 @@ def run_buckets_command(config: ExperimentConfig) -> list[dict]:
             }
             for sizes, prob in sorted(dist.items())
         ]
-    sampler = {
-        "recursive": lambda rng: restrict.sample_restriction_recursive(r, k, rng)[0].bucket_sizes(),
-        "direct": lambda rng: restrict.sample_buckets_direct_sizes(r, k, rng),
-        "cycle": lambda rng: restrict.sample_buckets_cycle_sizes(r, k, rng),
-    }[process]
-    counts: dict[tuple, int] = {}
-    for i in range(config.trials):
-        sizes = sampler(derive_rng(config.master_seed, i))
-        counts[sizes] = counts.get(sizes, 0) + 1
+    sample_sizes = restrict.BUCKET_PROCESSES[process][0]
+    counts = Counter(sample_sizes(r, k, derive_rng(config.master_seed, i))
+                     for i in range(config.trials))
     return [
         {
             "sorted_sizes": "-".join(map(str, sizes)),
@@ -436,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--process", choices=("recursive", "direct", "cycle"), default="direct")
+    sp.add_argument("--process", choices=tuple(restrict.BUCKET_PROCESSES), default="direct")
     common(sp, trials_default=100000)
 
     sp = sub.add_parser("span", help="spans of balanced sign vectors")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .field import FieldElement, PrimeField, binomial_sum
+from .field import FieldElement, PrimeField, binomial_sum, row_reduce
 from .poly import subsets_up_to
 
 
@@ -65,7 +65,7 @@ def _kernel_vector(rows: list[list[int]], field: PrimeField) -> list[int]:
     With more columns than rows a free column always remains.
     """
     cols = len(rows[0]) if rows else 0
-    reduced, pivots = field.row_reduce(rows, cols)
+    reduced, pivots = row_reduce(rows, cols, field)
     free = next(c for c in range(cols) if c not in pivots)
     solution = [0] * cols
     solution[free] = 1

@@ -1,5 +1,5 @@
-"""Exact arithmetic over prime fields F_p, plus row reduction and the
-binomial machinery mod p.
+"""Exact arithmetic over prime fields F_p, row reduction over F_p and Q, and
+the binomial machinery mod p.
 
 Residues are plain ints in [0, p); ``FieldElement`` wraps a residue together
 with its field so that cross-field arithmetic is rejected instead of silently
@@ -73,34 +73,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def row_reduce(self, rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form of integer rows mod p, pivoting on the
-        first ``cols`` columns only.
-
-        Each column in turn takes as pivot the first row at or below the rank
-        so far with a nonzero residue there; that row is scaled to a leading 1
-        and the column is cleared in every other row.  Returns the reduced
-        rows (residues) and the pivot columns, row r holding the pivot of the
-        r-th.
-        """
-        p = self.p
-        rows = [[v % p for v in row] for row in rows]
-        pivots: list[int] = []
-        for col in range(cols):
-            rank = len(pivots)
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = self.inv(rows[rank][col])
-            rows[rank] = [v * inv % p for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-            pivots.append(col)
-        return rows, pivots
-
 
 class FieldElement:
     """A residue bound to its PrimeField.  Immutable."""
@@ -157,6 +129,40 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.residue} (mod {self.field.p})"
+
+
+def row_reduce(rows: list[list[int]], cols: int,
+               field: PrimeField | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of integer rows over F_p, or over Q with
+    ``Fraction`` entries when ``field`` is None, pivoting on the first
+    ``cols`` columns only.
+
+    Each column in turn takes as pivot the first row at or below the rank
+    so far with a nonzero entry there; that row is scaled to a leading 1 and
+    the column is cleared in every other row.  Returns the reduced rows
+    (residues or fractions) and the pivot columns, row r holding the pivot
+    of the r-th.
+    """
+    def entries(row):
+        return [Fraction(v) for v in row] if field is None else [v % field.p for v in row]
+
+    rows = [entries(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        inverse = 1 / lead if field is None else field.inv(lead)
+        rows[rank] = entries(v * inverse for v in rows[rank])
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = entries(a - factor * b for a, b in zip(rows[r], rows[rank]))
+        pivots.append(col)
+    return rows, pivots
 
 
 def _digit_binomial_mod(a: int, b: int, p: int) -> int:

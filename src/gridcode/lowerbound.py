@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError
-from .field import PrimeField
+from .field import PrimeField, row_reduce
 
 ALL_PLUS_ONES = 0  # mask of the +1^n vector
 
@@ -89,87 +89,27 @@ def _int_det(matrix: list[list[int]]) -> int:
 
 def _solve_pattern_system(rows: list[tuple[int, ...]], field: PrimeField | None,
                           affine: bool):
-    """Solve <c, row> = 1 for all rows (plus sum c = 1 in affine mode).
-
-    Over Q (field None) returns (True, coefficients, (numerators, denominator))
-    with the Cramer certificate from an invertible square subsystem; over F_p
-    returns (True, residues, None).  Returns (False, None, None) if unsolvable.
+    """Solve <c, row> = 1 for all rows (plus sum c = 1 in affine mode), with 0
+    on the free columns: (True, coefficients, certificate), or (False, None,
+    None) if unsolvable.  The certificate is None except over Q (field None)
+    at full rank, where it is (numerators, denominator) by Cramer's rule.
     """
     u = len(rows[0])
-    system = [list(r) for r in rows]
-    rhs = [1] * len(system)
+    system = [list(row) + [1] for row in rows]
     if affine:
-        system.append([1] * u)
-        rhs.append(1)
-
-    if field is not None:
-        reduced, pivots = field.row_reduce(
-            [row + [b] for row, b in zip(system, rhs)], u)
-        if any(row[-1] for row in reduced[len(pivots):]):
-            return False, None, None
-        solution = [0] * u
-        for row, col in zip(reduced, pivots):
-            solution[col] = row[-1]
+        system.append([1] * (u + 1))
+    reduced, pivots = row_reduce(system, u, field)
+    if any(row[-1] for row in reduced[len(pivots):]):
+        return False, None, None
+    solution = [Fraction(0) if field is None else 0] * u
+    for row, col in zip(reduced, pivots):
+        solution[col] = row[-1]
+    if field is not None or len(pivots) < u:
         return True, tuple(solution), None
-
-    # Select u independent rows by rational elimination, tracking originals.
-    frac_rows = [[Fraction(v) for v in row] + [Fraction(b)]
-                 for row, b in zip(system, rhs)]
-    chosen: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for idx, row in enumerate(frac_rows):
-        work = row[:]
-        for pivot_col, red in zip(chosen_cols(reduced), reduced):
-            if work[pivot_col]:
-                factor = work[pivot_col]
-                work = [a - factor * b for a, b in zip(work, red)]
-        lead = next((c for c in range(u) if work[c]), None)
-        if lead is None:
-            if work[-1]:
-                return False, None, None  # inconsistent
-            continue
-        work = [v / work[lead] for v in work]
-        reduced.append(work)
-        chosen.append(idx)
-        if len(chosen) == u:
-            break
-    if len(chosen) < u:
-        # Rank-deficient but consistent: extend any solution of the reduced
-        # system with zeros on free columns.
-        solution = _back_substitute(reduced, u)
-    else:
-        square = [system[i][:u] for i in chosen]
-        b_vec = [rhs[i] for i in chosen]
-        det = _int_det(square)
-        numerators = []
-        for col in range(u):
-            replaced = [row[:col] + [b] + row[col + 1:]
-                        for row, b in zip(square, b_vec)]
-            numerators.append(_int_det(replaced))
-        solution = [Fraction(a, det) for a in numerators]
-    for row, b in zip(system, rhs):
-        if sum(c * v for c, v in zip(solution, row)) != b:
-            return False, None, None
-    if len(chosen) == u:
-        certificate = (tuple(numerators), det)
-    else:
-        certificate = None
-    return True, tuple(solution), certificate
-
-
-def chosen_cols(reduced: list[list[Fraction]]) -> list[int]:
-    return [next(c for c, v in enumerate(row[:-1]) if v) for row in reduced]
-
-
-def _back_substitute(reduced: list[list[Fraction]], u: int) -> list[Fraction]:
-    solution = [Fraction(0)] * u
-    for row in reversed(reduced):
-        lead = next(c for c in range(u) if row[c])
-        acc = row[-1]
-        for c in range(lead + 1, u):
-            acc -= row[c] * solution[c]
-        solution[lead] = acc
-    return solution
+    # the square system of the first u independent rows: the transpose's pivots
+    _, independent = row_reduce(list(zip(*system))[:u], len(system))
+    det = _int_det([system[i][:u] for i in independent])
+    return True, tuple(solution), (tuple(int(det * c) for c in solution), det)
 
 
 @dataclass(frozen=True)

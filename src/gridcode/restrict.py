@@ -9,8 +9,8 @@ Three samplers produce the same bucket-size distribution:
   * the cycle sampler (arrange all elements on a cycle entered at a uniform
     special element; each special element owns the arc up to the next special).
 
-Exact enumerators for all three are provided so the equivalence can be checked
-as an identity of rational distributions rather than statistically.
+``BUCKET_PROCESSES`` gives each its sizes sampler and exact enumerator, so the
+equivalence can be checked as an identity of rational distributions.
 """
 
 from __future__ import annotations
@@ -239,6 +239,12 @@ class BucketSample:
         return tuple(sorted(self.sizes()))
 
 
+def _check_buckets(r: int, k: int) -> None:
+    """The one argument check of every bucket process: r >= k >= 1."""
+    if not r >= k >= 1:
+        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
+
+
 def _cycle_buckets(r: int, k: int, entry: int, rest) -> list[set]:
     """Arc partition of the order [entry, *rest]; seeds are elements < k."""
     buckets: list[set] = [set() for _ in range(k)]
@@ -274,8 +280,7 @@ def sample_buckets_cycle_sizes(r: int, k: int, rng) -> tuple[int, ...]:
 
 def _sample_cycle(r: int, k: int, rng) -> tuple[int, list[int]]:
     """Entry special element and the shuffled order of the other elements."""
-    if not r >= k >= 1:
-        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
+    _check_buckets(r, k)
     entry = rng.randrange(k)
     rest = list(range(r))
     del rest[entry]
@@ -305,8 +310,7 @@ def _parent_bucket_sizes(r: int, k: int, parents) -> list[int]:
 
 def sample_buckets_direct(r: int, k: int, rng) -> BucketSample:
     """Parent-process sampler for the bucket distribution alone."""
-    if not r >= k >= 1:
-        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
+    _check_buckets(r, k)
     buckets: list[set] = [set() for _ in range(k)]
     for i, j in enumerate(_parent_owners(r, k, _sample_parents(r, k, rng))):
         buckets[j].add(i)
@@ -316,8 +320,7 @@ def sample_buckets_direct(r: int, k: int, rng) -> BucketSample:
 def sample_buckets_direct_sizes(r: int, k: int, rng) -> tuple[int, ...]:
     """``sample_buckets_direct(r, k, rng).sorted_sizes()`` from the same random
     calls, by counting sizes instead of building the partition."""
-    if not r >= k >= 1:
-        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
+    _check_buckets(r, k)
     return tuple(sorted(_parent_bucket_sizes(r, k, _sample_parents(r, k, rng))))
 
 
@@ -380,46 +383,41 @@ def _aggregate(pairs) -> dict:
     return dist
 
 
-def exact_bucket_distribution(r: int, k: int, budget: int = 10**7) -> dict:
-    """Exact sorted-size distribution of the parent process.
+def _recursive_bucket_sizes(r: int, k: int, rng) -> tuple[int, ...]:
+    """Sorted bucket sizes of one run of the recursive sampler."""
+    _check_buckets(r, k)
+    return sample_restriction_recursive(r, k, rng)[0].bucket_sizes()
 
-    Enumerates all prod_{i=k+1..r} (i-1) parent functions; raises
-    BudgetExceededError if that count exceeds ``budget``.
-    """
-    if not r >= k >= 1:
-        raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
-    total = _parent_space_size(r, k)
+
+# Each bucket process by its ``--process`` name: (sorted-size sampler
+# (r, k, rng), count of its equally likely outcomes (r, k), enumerator (r, k)
+# of (sizes, probability) pairs over those outcomes).
+BUCKET_PROCESSES = {
+    "recursive": (_recursive_bucket_sizes,
+                  lambda r, k: math.prod(m * (m - 1) for m in range(k + 1, r + 1)),
+                  enumerate_recursive_buckets),
+    "direct": (sample_buckets_direct_sizes, _parent_space_size, enumerate_parent_buckets),
+    "cycle": (sample_buckets_cycle_sizes, lambda r, k: k * math.factorial(r - 1),
+              enumerate_cycle_buckets),
+}
+
+
+def exact_bucket_distribution(r: int, k: int, process: str = "direct",
+                              budget: int = 10**7) -> dict:
+    """Exact sorted-size distribution of a bucket process from its enumerator;
+    raises BudgetExceededError if its count of equally likely outcomes
+    exceeds ``budget``."""
+    _check_buckets(r, k)
+    _, outcomes, enumerate_outcomes = BUCKET_PROCESSES[process]
+    total = outcomes(r, k)
     if total > budget:
+        name = "parent" if process == "direct" else process
         raise BudgetExceededError(
-            f"parent enumeration needs {total} cases (budget {budget})",
+            f"{name} enumeration needs {total} cases (budget {budget})",
             required=total,
             budget=budget,
         )
-    return _aggregate(enumerate_parent_buckets(r, k))
-
-
-def exact_bucket_distribution_cycle(r: int, k: int, budget: int = 10**7) -> dict:
-    """Exact sorted-size distribution of the cycle sampler."""
-    total = k * math.factorial(r - 1)
-    if total > budget:
-        raise BudgetExceededError(
-            f"cycle enumeration needs {total} cases (budget {budget})",
-            required=total,
-            budget=budget,
-        )
-    return _aggregate(enumerate_cycle_buckets(r, k))
-
-
-def exact_bucket_distribution_recursive(n: int, k: int, budget: int = 10**7) -> dict:
-    """Exact sorted-size distribution of the recursive identification process."""
-    total = math.prod(m * (m - 1) for m in range(k + 1, n + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"recursive enumeration needs {total} cases (budget {budget})",
-            required=total,
-            budget=budget,
-        )
-    return _aggregate(enumerate_recursive_buckets(n, k))
+    return _aggregate(enumerate_outcomes(r, k))
 
 
 def min_bucket_tail(r: int, k: int, trials: int, rng) -> tuple[float, float]:
@@ -428,6 +426,7 @@ def min_bucket_tail(r: int, k: int, trials: int, rng) -> tuple[float, float]:
     For r <= 4k the bound holds with probability 1 (every bucket has size
     at least 1 >= r/(4k)) and no sampling is done.
     """
+    _check_buckets(r, k)
     if r <= 4 * k:
         return 1.0, 0.0
     threshold = r / (4 * k)

@@ -33,8 +33,6 @@ from gridcode.rand import derive_rng
 from gridcode.restrict import (
     enumerate_cycle_buckets,
     exact_bucket_distribution,
-    exact_bucket_distribution_cycle,
-    exact_bucket_distribution_recursive,
     sample_buckets_direct,
     sample_restriction_recursive,
 )
@@ -92,8 +90,8 @@ def test_a03_tester_descriptions_equivalent():
     # sizes, chi-square agreement at (n,k) = (12,4) with 10^5 samples.
     for n, k in ((5, 2), (6, 3)):
         parent = exact_bucket_distribution(n, k)
-        assert exact_bucket_distribution_recursive(n, k) == parent
-        assert exact_bucket_distribution_cycle(n, k) == parent
+        assert exact_bucket_distribution(n, k, "recursive") == parent
+        assert exact_bucket_distribution(n, k, "cycle") == parent
 
     rng = random.Random(104)
     samples = 10**5
@@ -111,7 +109,7 @@ def test_a03_tester_descriptions_equivalent():
 
 def test_a04_cycle_sampler_matches_parent_process():
     for r, k in ((5, 2), (6, 3)):
-        assert exact_bucket_distribution_cycle(r, k) == exact_bucket_distribution(r, k)
+        assert exact_bucket_distribution(r, k, "cycle") == exact_bucket_distribution(r, k)
     # k=2 marginal at r=5: the first bucket size is uniform on 1..4.
     marginal = Counter()
     for sizes, weight in enumerate_cycle_buckets(5, 2):

@@ -282,6 +282,10 @@ ARTIFACT_SHA256 = [
      "4b6cb82cbe4051a72ad207b18e36befb4200271e52ce3977e8a174b7ac6d6ec5"),
     ("buckets --r 5 --k 2 --exact",
      "8bf1a859406792168d7219fc84c3ddb3b77c5d09ef7993b9477776f1edb0ad35"),
+    ("buckets --r 6 --k 3 --exact --process cycle",
+     "de3007a72fe7dc08fe89ef884664932f7f804e3aeb61bcf7e8f5966b04bf3da8"),
+    ("buckets --r 6 --k 3 --exact --process recursive",
+     "bcf00e68126f671a5fb4fb134dd667b879e515fbd06f154a4d76bd031f253ca4"),
     ("buckets --r 12 --k 4 --process cycle --trials 3000 --seed 7",
      "5ce2ce8a1e8c2450352ceb6786dbf3538b2a91f0634bc4019c572410a0aaebc1"),
     ("buckets --r 12 --k 4 --process direct --trials 3000 --seed 7",
@@ -379,6 +383,18 @@ def test_reused_parser_survives_failed_calls(tmp_path, capsys):
         (["witness", "--k", "4", "--d", "1", "--format", "csv"], "witness writes JSON only"),
         (["oracle", "--n", "2", "--d", "1", "--in", "unread.tt", "--format", "csv"],
          "oracle writes JSON only"),
+        (["buckets", "--r", "3", "--k", "5", "--exact", "--process", "cycle"],
+         "need r >= k >= 1"),
+        (["buckets", "--r", "3", "--k", "-1", "--exact", "--process", "cycle"],
+         "need r >= k >= 1"),
+        (["buckets", "--r", "3", "--k", "5", "--exact", "--process", "recursive"],
+         "need r >= k >= 1"),
+        (["buckets", "--r", "3", "--k", "0", "--exact", "--process", "recursive"],
+         "need r >= k >= 1"),
+        (["buckets", "--r", "3", "--k", "0", "--exact", "--process", "cycle"],
+         "need r >= k >= 1"),
+        (["buckets", "--r", "0", "--k", "0", "--exact", "--process", "cycle"],
+         "need r >= k >= 1"),
     ],
 )
 def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, argv, message):

@@ -1,7 +1,8 @@
 """Digests of exact results on fixed inputs.
 
 Each digest covers a computation whose code is shared with another one: the
-mod-p row reduction behind dual witnesses and span coefficients, the pattern
+row reduction behind dual witnesses and span coefficients over F_p and Q
+(Cramer certificates included), the pattern
 rows of a spanning subset, the value table of a hard function, and the block
 scan that answers full-cube ``exact_delta_d`` outside the transform cases.
 The digests were recorded before those paths were merged, so they show that
@@ -58,6 +59,20 @@ def test_pattern_systems_mod_p_pinned():
                     result = _solve_pattern_system(rows, PrimeField(p), affine)
                     lines.append(f"{p} {affine} {u} {key} {result}")
     assert _digest(lines) == "f40348be4d45016ecf623480c11b048f14780637c0ffffa413881398802deb22"
+
+
+def test_pattern_systems_over_q_pinned():
+    lines = []
+    solvable = 0
+    for affine in (False, True):
+        for u in range(1, 4):
+            for key in range(1, 1 << (1 << u)):
+                rows = _rows_from_key(key, u)
+                result = _solve_pattern_system(rows, None, affine)
+                solvable += result[0]
+                lines.append(f"None {affine} {u} {key} {result}")
+    assert (len(lines), solvable) == (546, 129)
+    assert _digest(lines) == "3418e1fe4dee5b7583b82c1e88f0902a4aa803c8c73ea3ba1cf62631c8c3ce6a"
 
 
 def test_span_results_pinned():

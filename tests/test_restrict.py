@@ -7,6 +7,7 @@ import pytest
 
 from gridcode.errors import BudgetExceededError
 from gridcode.restrict import (
+    BUCKET_PROCESSES,
     BucketSample,
     Restriction,
     UniformRestriction,
@@ -14,8 +15,6 @@ from gridcode.restrict import (
     direct_restriction,
     enumerate_cycle_buckets,
     exact_bucket_distribution,
-    exact_bucket_distribution_cycle,
-    exact_bucket_distribution_recursive,
     min_bucket_tail,
     sample_buckets_cycle,
     sample_buckets_cycle_sizes,
@@ -101,8 +100,8 @@ def test_three_processes_agree_exactly():
     # sorted-bucket-size distributions, as exact rationals.
     for n, k in ((5, 2), (6, 3)):
         parent = exact_bucket_distribution(n, k)
-        cycle = exact_bucket_distribution_cycle(n, k)
-        recursive = exact_bucket_distribution_recursive(n, k)
+        cycle = exact_bucket_distribution(n, k, "cycle")
+        recursive = exact_bucket_distribution(n, k, "recursive")
         assert parent == cycle == recursive
         assert sum(parent.values()) == 1
 
@@ -144,7 +143,7 @@ def test_cycle_k2_first_bucket_uniform():
 
 def test_cycle_matches_parent_exactly():
     for r, k in ((5, 2), (6, 3)):
-        assert exact_bucket_distribution_cycle(r, k) == exact_bucket_distribution(r, k)
+        assert exact_bucket_distribution(r, k, "cycle") == exact_bucket_distribution(r, k)
 
 
 def test_bucket_sample_validation():
@@ -222,8 +221,12 @@ def test_sizes_only_samplers_match_partition_samplers(r, k):
 @pytest.mark.parametrize("r, k", [(3, 4), (0, 0), (5, 0), (2, -1)])
 def test_sizes_only_samplers_reject_bad_arguments(sampler, r, k):
     full = {"cycle": sample_buckets_cycle, "direct": sample_buckets_direct}[sampler]
-    sizes_only = {"cycle": sample_buckets_cycle_sizes,
-                  "direct": sample_buckets_direct_sizes}[sampler]
-    for fn in (full, sizes_only):
+    with pytest.raises(ValueError, match="need r >= k >= 1"):
+        full(r, k, random.Random(0))
+    for process, (sample_sizes, _, _) in BUCKET_PROCESSES.items():
         with pytest.raises(ValueError, match="need r >= k >= 1"):
-            fn(r, k, random.Random(0))
+            sample_sizes(r, k, random.Random(0))
+        with pytest.raises(ValueError, match="need r >= k >= 1"):
+            exact_bucket_distribution(r, k, process)
+    with pytest.raises(ValueError, match="need r >= k >= 1"):
+        min_bucket_tail(r, k, 10, random.Random(0))
