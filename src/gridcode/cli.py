@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +63,9 @@ def _map_chunks(worker, args: tuple, trials: int):
     if threads == 1 or trials < 2 * threads:
         parts = [worker(*args, 0, trials)]
     else:
+        # Imported here: serial runs, the default, skip the multiprocessing import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(worker, *args, lo, hi)

@@ -97,15 +97,19 @@ def corruption_offsets(n: int, p: int, delta, rng) -> dict[int, int]:
     with a uniform nonzero offset in [1, p).
 
     The random calls are one ``rng.sample`` of the positions, then one
-    ``randrange(1, p)`` per position in sampled order; neither reads a table.
+    ``rng._randbelow(p - 1)`` per position in sampled order, the call that
+    ``randrange(1, p)`` makes; neither reads a table.
     """
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
     if not 0 <= delta <= 1:
         raise ValueError("corruption rate must be in [0, 1]")
+    if p < 2:
+        raise ValueError(f"modulus must be at least 2, got {p}")
     size = 1 << n
     flips = int(Fraction(delta) * size)
-    return {pos: rng.randrange(1, p) for pos in rng.sample(range(size), flips)}
+    randbelow = rng._randbelow
+    return {pos: 1 + randbelow(p - 1) for pos in rng.sample(range(size), flips)}
 
 
 def corrupt(f: CubeFunction, delta, rng) -> CubeFunction:

@@ -163,7 +163,8 @@ def local_decode(
     if mode not in (FULL_BALANCED, ZERO_TAIL_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
     width = 2 * params.k
-    assignment = tuple(rng.randrange(width) for _ in range(f.n))
+    randbelow = rng._randbelow  # the call randrange(width) makes
+    assignment = tuple([randbelow(width) for _ in range(f.n)])
     points, bits, needed = _query_plan(params.k, params.d, mode)
     # z(y) is x xored with the variables assigned to the set bits of y.
     buckets = [0] * width

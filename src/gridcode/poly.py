@@ -8,6 +8,7 @@ pair over any field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -23,6 +24,13 @@ def subsets_up_to(n: int, d: int) -> list[int]:
              for m in (sum(1 << i for i in positions),)]
     masks.sort()
     return masks
+
+
+# Bounded: an entry for large n and d holds every monomial of the code.
+@functools.lru_cache(maxsize=32)
+def _monomials(n: int, d: int) -> tuple[int, ...]:
+    """``subsets_up_to(n, d)`` as a tuple, computed once per (n, d)."""
+    return tuple(subsets_up_to(n, d))
 
 
 class MultilinearPoly:
@@ -235,7 +243,7 @@ def random_poly(n: int, d: int, field: PrimeField, rng) -> MultilinearPoly:
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     coeffs = {}
-    for mask in subsets_up_to(n, d):
+    for mask in _monomials(n, d):
         c = rng.randrange(field.p)
         if c:
             coeffs[mask] = c

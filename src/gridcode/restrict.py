@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -109,8 +110,7 @@ def compose(first: Restriction, second: Restriction) -> Restriction:
     return cls(first.n, second.k, phi, shift)
 
 
-@dataclass(frozen=True)
-class IdentificationStep:
+class IdentificationStep(NamedTuple):
     """One merge round: the removed variable is replaced by flip xor kept."""
 
     kept: int
@@ -134,44 +134,55 @@ def sample_restriction_recursive(n: int, k: int, rng):
     Each round picks distinct surviving variables (kept, removed) and a bit,
     substituting x_removed := bit xor x_kept.  A uniform bijection onto the
     outputs and a uniform complement per survivor finish the job.  Returns
-    (restriction, transcript).
+    (restriction, transcript).  The random calls are those of
+    ``rng.sample(survivors, 2)`` and ``rng.getrandbits(1)`` per round, then
+    ``rng.shuffle`` of the outputs and one ``getrandbits(1)`` per survivor.
     """
     if not n > k >= 1:
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
     survivors = list(range(n))
-    # removed variable -> (its representative at removal time, flip bit)
-    alias: dict[int, tuple[int, int]] = {}
     steps = []
-    while len(survivors) > k:
-        kept, removed = rng.sample(survivors, 2)
-        flip = rng.getrandbits(1)
-        alias[removed] = (kept, flip)
-        survivors.remove(removed)
-        steps.append(IdentificationStep(kept, removed, flip))
+    for m in range(n, k, -1):
+        # The positions rng.sample(survivors, 2) picks, from the same
+        # randbelow calls as CPython's Random.sample: up to 21 elements it
+        # draws from a pool whose vacancy is refilled by the last element;
+        # above that it redraws the second position until it differs.
+        i = randbelow(m)
+        if m <= 21:
+            j = randbelow(m - 1)
+            if j == i:
+                j = m - 1
+        else:
+            j = randbelow(m)
+            while j == i:
+                j = randbelow(m)
+        kept = survivors[i]
+        steps.append(IdentificationStep(kept, survivors.pop(j), getrandbits(1)))
 
     targets = list(range(k))
     rng.shuffle(targets)
-    bijection = {s: t for s, t in zip(survivors, targets)}
-    final_shift = {s: rng.getrandbits(1) for s in survivors}
+    bijection = dict(zip(survivors, targets))
+    final_shift = {s: getrandbits(1) for s in survivors}
 
+    # A removed variable maps where its kept partner maps, with the step's
+    # flip added; the partner was removed later if at all, so undoing the
+    # steps last to first resolves it first.
     phi = [0] * n
+    bits = [0] * n
     shift = 0
-    for i in range(n):
-        root, flip = _resolve_alias(i, alias)
-        phi[i] = bijection[root]
-        if flip ^ final_shift[root]:
-            shift |= 1 << i
+    for s, t in bijection.items():
+        phi[s] = t
+        bits[s] = bit = final_shift[s]
+        shift |= bit << s
+    for kept, removed, flip in reversed(steps):
+        phi[removed] = phi[kept]
+        bits[removed] = bit = bits[kept] ^ flip
+        shift |= bit << removed
     restriction = Restriction(n, k, phi, shift)
     transcript = RestrictionTranscript(tuple(steps), tuple(survivors), bijection, final_shift)
     return restriction, transcript
-
-
-def _resolve_alias(i: int, alias: dict) -> tuple[int, int]:
-    flip = 0
-    while i in alias:
-        i, f = alias[i]
-        flip ^= f
-    return i, flip
 
 
 def direct_restriction(n: int, k: int, shift_bits, perm, parents) -> Restriction:
@@ -384,8 +395,11 @@ def _aggregate(pairs) -> dict:
 
 
 def _recursive_bucket_sizes(r: int, k: int, rng) -> tuple[int, ...]:
-    """Sorted bucket sizes of one run of the recursive sampler."""
+    """Sorted bucket sizes of one run of the recursive sampler; at r == k
+    there is nothing to identify and every bucket is its seed alone."""
     _check_buckets(r, k)
+    if r == k:
+        return (1,) * k
     return sample_restriction_recursive(r, k, rng)[0].bucket_sizes()
 
 

@@ -85,6 +85,15 @@ def test_buckets_sampled_rows(tmp_path):
     assert abs(total - 1.0) < 1e-9
 
 
+def test_buckets_recursive_accepts_r_equal_k(tmp_path):
+    out = run_cli(
+        ["buckets", "--r", "4", "--k", "4", "--process", "recursive",
+         "--trials", "5", "--seed", "1"],
+        tmp_path / "r.csv",
+    )
+    assert out.strip().splitlines()[2:] == ["1-1-1-1,1.000000"]
+
+
 def test_decode_subcommand(tmp_path):
     out = run_cli(
         ["decode", "--n", "8", "--d", "1", "--p", "2", "--delta", "0",

@@ -153,6 +153,19 @@ def test_local_decode_query_counts_by_mode():
     assert log_small.query_count == math.comb(3, 2)
 
 
+def test_local_decode_draws_assignment_as_randrange():
+    # The assignment must come from the calls of randrange(2k) per variable.
+    for p, d in ((2, 1), (3, 2), (2, 3)):
+        params = DecoderParams.for_degree(p, d)
+        f = random_poly(9, d, PrimeField(p), random.Random(p * d)).truth_table()
+        for seed in range(50):
+            ours, reference = random.Random(seed), random.Random(seed)
+            _, log = local_decode(f, seed, params, ours)
+            expected = tuple(reference.randrange(2 * params.k) for _ in range(9))
+            assert log.assignment == expected
+            assert ours.getstate() == reference.getstate()
+
+
 def test_each_query_uniform_exhaustive():
     # d=0, p=2 gives k=1: enumerate all assignments h and all balanced
     # points; each oracle position must be hit equally often.

@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from gridcode.cube import corrupt
 from gridcode.errors import BudgetExceededError
+from gridcode.field import PrimeField
+from gridcode.poly import random_poly
 from gridcode.restrict import (
     BUCKET_PROCESSES,
     BucketSample,
+    IdentificationStep,
     Restriction,
+    RestrictionTranscript,
     UniformRestriction,
     compose,
     direct_restriction,
@@ -23,6 +28,7 @@ from gridcode.restrict import (
     sample_restriction_direct,
     sample_restriction_recursive,
 )
+from gridcode.tester import TesterParams, run_test_once
 from stats_util import chi_square_homogeneity
 
 
@@ -122,6 +128,14 @@ def test_processes_agree_statistically():
 def test_cycle_all_singletons_when_r_equals_k():
     sample = sample_buckets_cycle(4, 4, random.Random(4))
     assert sample.sorted_sizes() == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))
+def test_every_process_gives_singletons_when_r_equals_k(process):
+    sample_sizes = BUCKET_PROCESSES[process][0]
+    for k in (1, 2, 4):
+        assert exact_bucket_distribution(k, k, process) == {(1,) * k: Fraction(1)}
+        assert sample_sizes(k, k, random.Random(k)) == (1,) * k
 
 
 def test_cycle_sample_is_valid_partition():
@@ -230,3 +244,84 @@ def test_sizes_only_samplers_reject_bad_arguments(sampler, r, k):
             exact_bucket_distribution(r, k, process)
     with pytest.raises(ValueError, match="need r >= k >= 1"):
         min_bucket_tail(r, k, 10, random.Random(0))
+
+
+# --- the recursive sampler against its alias-chasing reference -------------
+
+def _reference_recursive(n, k, rng):
+    """The recursive sampler written with ``rng.sample`` per round and an
+    alias chase per variable: the reference for its random calls and output."""
+    survivors = list(range(n))
+    alias = {}
+    steps = []
+    while len(survivors) > k:
+        kept, removed = rng.sample(survivors, 2)
+        flip = rng.getrandbits(1)
+        alias[removed] = (kept, flip)
+        survivors.remove(removed)
+        steps.append(IdentificationStep(kept, removed, flip))
+    targets = list(range(k))
+    rng.shuffle(targets)
+    bijection = {s: t for s, t in zip(survivors, targets)}
+    final_shift = {s: rng.getrandbits(1) for s in survivors}
+    phi = [0] * n
+    shift = 0
+    for i in range(n):
+        root, flip = i, 0
+        while root in alias:
+            root, f = alias[root]
+            flip ^= f
+        phi[i] = bijection[root]
+        if flip ^ final_shift[root]:
+            shift |= 1 << i
+    transcript = RestrictionTranscript(tuple(steps), tuple(survivors), bijection, final_shift)
+    return Restriction(n, k, phi, shift), transcript
+
+
+def test_first_pair_makes_the_calls_of_sample():
+    # With k = m - 1 the sampler draws one pair from range(m): both branches
+    # of CPython's Random.sample, the pool up to 21 elements and redraws above.
+    for m in range(2, 41):
+        for seed in range(500):
+            ours, reference = random.Random(seed), random.Random(seed)
+            _, transcript = sample_restriction_recursive(m, m - 1, ours)
+            kept, removed = reference.sample(range(m), 2)
+            assert transcript.steps[0][:2] == (kept, removed)
+            reference.getrandbits(1)  # the step's flip
+            reference.shuffle(list(range(m - 1)))
+            for _ in range(m - 1):
+                reference.getrandbits(1)  # the survivors' complements
+            assert ours.getstate() == reference.getstate()
+
+
+def test_recursive_sampler_matches_reference():
+    for n in range(3, 41):
+        for k in sorted({1, 2, 4, n // 2, n - 1} - {0}):
+            if k >= n:
+                continue
+            for seed in range(8):
+                ours, reference = random.Random(seed), random.Random(seed)
+                restriction, transcript = sample_restriction_recursive(n, k, ours)
+                expected, expected_transcript = _reference_recursive(n, k, reference)
+                assert restriction == expected
+                assert transcript == expected_transcript
+                assert list(transcript.bijection.items()) == \
+                    list(expected_transcript.bijection.items())
+                assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("k", (4, 6))
+def test_run_test_once_transcripts_match_reference_sampler(k, monkeypatch):
+    rng = random.Random(16)
+    f = corrupt(random_poly(16, 1, PrimeField(2), rng).truth_table(), Fraction(1, 50), rng)
+    params = TesterParams(1, k)
+
+    def runs():
+        for seed in range(2000):
+            rng = random.Random(seed)
+            yield run_test_once(f, params, rng), hash(rng.getstate())
+
+    ours = list(runs())
+    assert 0 < sum(t.accepted for t, _ in ours) < len(ours)
+    monkeypatch.setattr("gridcode.tester.sample_restriction_recursive", _reference_recursive)
+    assert ours == list(runs())

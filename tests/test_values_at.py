@@ -50,7 +50,7 @@ def _pair(n, d, p, delta, seed, tabled=False):
     return table, rng_table, oracle, rng_oracle
 
 
-@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
 @pytest.mark.parametrize("delta", DELTAS)
 def test_corruption_offsets_make_the_reference_random_calls(p, delta):
     for seed in range(5):
@@ -67,6 +67,8 @@ def test_corruption_offsets_validate():
         corruption_offsets(4, 2, Fraction(3, 2), random.Random(0))
     with pytest.raises(ValueError, match="n must be in"):
         corruption_offsets(31, 2, 0, random.Random(0))
+    with pytest.raises(ValueError, match="modulus"):
+        corruption_offsets(4, 1, Fraction(1, 2), random.Random(0))
 
 
 @pytest.mark.parametrize("n, d, p", CASES)
