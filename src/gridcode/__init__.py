@@ -7,13 +7,7 @@ from .cube import CubeFunction, apply_restriction, corrupt, distance
 from .decoder import DecoderParams, balanced_set, decode_from_ball, local_decode
 from .dualwitness import DualWitness, build_witness, greedy_code, verify_witness
 from .errors import BudgetExceededError, CapacityError
-from .field import (
-    ExactRational,
-    FieldElement,
-    PrimeField,
-    decoder_constant,
-    lucas_binomial,
-)
+from .field import PrimeField
 from .lowerbound import HardFunction, SpanInstance, sample_hard_function, t_span_contains
 from .oracle import CodeEnumeration, certify_far, exact_delta_d
 from .poly import MultilinearPoly, from_truth_table, identify_variables, random_poly
@@ -45,8 +39,6 @@ __all__ = [
     "CubeFunction",
     "DecoderParams",
     "DualWitness",
-    "ExactRational",
-    "FieldElement",
     "HardFunction",
     "MultilinearPoly",
     "PrimeField",
@@ -63,7 +55,6 @@ __all__ = [
     "closest_poly_on_set",
     "corrupt",
     "decode_from_ball",
-    "decoder_constant",
     "distance",
     "entropy",
     "estimate_rejection_probability",
@@ -73,7 +64,6 @@ __all__ = [
     "greedy_code",
     "identify_variables",
     "local_decode",
-    "lucas_binomial",
     "random_poly",
     "run_test_once",
     "sample_buckets_cycle",

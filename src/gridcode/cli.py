@@ -271,7 +271,7 @@ def run_witness_command(config: ExperimentConfig) -> dict:
     report = dualwitness.verify_witness(witness)
     return {
         "support": [f"{point:0{p['k']}b}" for point in witness.support],
-        "weights": [w.residue for w in witness.weights],
+        "weights": witness.weights,
         "window": list(witness.window),
         "report": {
             "orthogonality": report.orthogonality,

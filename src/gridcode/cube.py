@@ -15,31 +15,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .restrict import Restriction
 
 MAX_VARIABLES = 30
 
 
 def _to_residues(values: list, p: int) -> list:
-    """Reduce a non-empty value list to residues in [0, p), in place.
+    """Reduce a non-empty list of ints to residues in [0, p), in place.
 
-    FieldElements of F_p are unwrapped and other values outside [0, p) are
-    reduced mod p; a FieldElement of another modulus raises ValueError.  A
-    list already in range is returned after one C-speed min/max check;
-    FieldElements have no ordering, so a list holding one takes the loop.
+    A list already in range is returned after one C-speed min/max check.
     """
-    try:
-        if 0 <= min(values) and max(values) < p:
-            return values
-    except TypeError:
-        pass
+    if 0 <= min(values) and max(values) < p:
+        return values
     for i, v in enumerate(values):
-        if isinstance(v, FieldElement):
-            if v.field.p != p:
-                raise ValueError("value modulus mismatch")
-            values[i] = v.residue
-        elif not 0 <= v < p:
+        if not 0 <= v < p:
             values[i] = v % p
     return values
 
@@ -177,14 +167,24 @@ def write_truth_table(f: CubeFunction, stream) -> None:
     stream.write("\n")
 
 
+def _decimal(token: str, what: str) -> int:
+    """A token of ASCII decimal digits as an int; any other token (a sign,
+    an underscore, a non-ASCII digit) is a ValueError naming it."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"truth table {what} {token!r} is not an ASCII decimal number")
+    return int(token)
+
+
 def read_truth_table(stream) -> CubeFunction:
+    """Read the format of ``write_truth_table``; every token must be ASCII
+    decimal digits and every residue must lie in [0, p)."""
     header = stream.readline().split()
     if len(header) != 2:
         raise ValueError("truth table header must be 'n p'")
-    n, p = int(header[0]), int(header[1])
+    n, p = (_decimal(t, "header token") for t in header)
     tokens = stream.read().split()
     field = PrimeField(p)
-    values = [int(t) for t in tokens]
+    values = [_decimal(t, "residue") for t in tokens]
     for v in values:
         if not 0 <= v < p:
             raise ValueError(f"residue {v} is outside [0, {p})")

@@ -4,9 +4,11 @@ With k the smallest power of the characteristic p exceeding the degree d,
 summing a degree-<=d polynomial G on the balanced points of {0,1}^{2k} whose
 last k-d coordinates are zero kills every nonconstant monomial mod p (the
 binomial C(d+k-i, k-i) vanishes mod p exactly for 1 <= i <= d, by Lucas'
-theorem) and leaves c * G(0) with c = C(d+k, k) invertible.  The decoder maps
-the target point to the origin of a random 2k-variable restriction, queries
-the balanced points, and inverts that relation.
+theorem) and leaves C(d+k, k) * G(0).  That constant is 1 mod p: with
+k = p^e > d the base-p digits of d and k never overlap, so Lucas' theorem
+gives C(d+k, k) = C(1, 1) * prod_i C(d_i, 0) = 1 and the sum is G(0)
+itself.  The decoder maps the target point to the origin of a random
+2k-variable restriction, queries the balanced points, and returns that sum.
 
 The oracle f is read only through ``f.values_at(masks)`` (see ``cube``), so a
 ``CubeFunction`` table and a ``poly.CorruptedPoly`` oracle decode alike.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import CubeFunction
-from .field import FieldElement, PrimeField, decoder_constant
+from .field import FieldElement, PrimeField
 
 FULL_BALANCED = "full_B"
 ZERO_TAIL_ONLY = "B_prime_only"
@@ -34,26 +36,29 @@ class DecoderParams:
     field: PrimeField
     d: int
     k: int
-    c: FieldElement
 
     @classmethod
     def for_degree(cls, p: int, d: int) -> "DecoderParams":
-        k, c = decoder_constant(d, p)
-        return cls(PrimeField(p), d, k, c)
+        """The parameters with k the smallest power of p above d."""
+        field = PrimeField(p)
+        k = 1
+        while k <= d:
+            k *= p
+        return cls(field, d, k)
 
     def __post_init__(self):
         p = self.field.p
+        if self.d < 0:
+            raise ValueError("degree must be non-negative")
+        if not self.k > self.d:
+            raise ValueError("k must exceed the degree")
         k = self.k
         while k % p == 0:
             k //= p
         if k != 1:
             raise ValueError(f"k={self.k} is not a power of {p}")
-        if not self.k > self.d:
-            raise ValueError("k must exceed the degree")
         if self.d >= 1 and self.k > p * self.d:
             raise ValueError("k must be at most p*d")
-        if self.c.residue == 0:
-            raise ValueError("decoding constant must be invertible")
 
     @property
     def query_budget(self) -> int:
@@ -95,20 +100,15 @@ def zero_tail_balanced_set(k: int, d: int) -> list[int]:
     return masks
 
 
-def decode_from_ball(values: dict, params: DecoderParams) -> FieldElement:
-    """Recover G(0^{2k}) as c^{-1} * sum of G over the zero-tail balanced set.
+def decode_from_ball(values: dict, params: DecoderParams) -> int:
+    """Recover G(0^{2k}) as the sum of G over the zero-tail balanced set, mod p.
 
-    ``values`` must map exactly that set of masks to residues or elements.
+    ``values`` must map exactly that set of masks to residues.
     """
     expected = zero_tail_balanced_set(params.k, params.d)
     if set(values.keys()) != set(expected):
         raise ValueError("values must cover exactly the zero-tail balanced set")
-    p = params.field.p
-    total = 0
-    for v in values.values():
-        total += v.residue if isinstance(v, FieldElement) else v
-    total %= p
-    return FieldElement(total * params.field.inv(params.c.residue) % p, params.field)
+    return sum(values.values()) % params.field.p
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def local_decode(
     point of the cube.  The full mode queries every balanced point
     (C(2k,k) queries, of which only the zero-tail ones enter the sum); the
     reduced mode queries only the zero-tail set (C(k+d,k) queries).  The
-    returned value is ``decode_from_ball`` of the zero-tail answers.
+    returned residue is ``decode_from_ball`` of the zero-tail answers.
     """
     if f.field.p != params.field.p:
         raise ValueError("oracle modulus does not match decoder parameters")
@@ -177,8 +177,6 @@ def local_decode(
             z ^= buckets[out]
         masks.append(z)
     answers = f.values_at(masks)
-    p = params.field.p
-    total = sum(answers[i] for i in needed) % p
-    value = FieldElement(total * params.field.inv(params.c.residue) % p, params.field)
+    value = FieldElement(sum(answers[i] for i in needed) % params.field.p, params.field)
     log = QueryLog(mode, x, assignment, tuple(zip(points, masks)))
     return value, log

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .field import FieldElement, PrimeField, binomial_sum, row_reduce
+from .field import PrimeField, binomial_sum, row_reduce
 from .poly import subsets_up_to
 
 
@@ -82,7 +82,7 @@ class DualWitness:
     d: int
     field: PrimeField
     support: tuple[int, ...]
-    weights: tuple[FieldElement, ...]
+    weights: tuple[int, ...]
     window: tuple[int, int]
 
 
@@ -112,13 +112,8 @@ def build_witness(
         for mono in monomials
     ]
     solution = _kernel_vector(rows, field)
-    support = []
-    weights = []
-    for y, w in zip(universe, solution):
-        if w:
-            support.append(y)
-            weights.append(field.element(w))
-    return DualWitness(k, d, field, tuple(support), tuple(weights), (lo, hi))
+    support, weights = zip(*[(y, w) for y, w in zip(universe, solution) if w])
+    return DualWitness(k, d, field, support, weights, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
         total = 0
         for y, w in zip(witness.support, witness.weights):
             if (y & mono) == mono:
-                total += w.residue
+                total += w
         if total % p:
             orthogonality = False
             break
@@ -163,7 +158,7 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
     )
 
     size_ok = 0 < len(witness.support) <= binomial_sum(witness.k, witness.d) + 1
-    nonzero_weights = all(w.residue for w in witness.weights)
+    nonzero_weights = all(witness.weights)
 
     code_size = p ** binomial_sum(witness.k, witness.d)
     if code_size <= budget:

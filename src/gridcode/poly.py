@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .cube import CubeFunction
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 def subsets_up_to(n: int, d: int) -> list[int]:
@@ -46,12 +46,7 @@ class MultilinearPoly:
         for mask, c in dict(coeffs).items():
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"monomial mask {mask} out of range for n={n}")
-            if isinstance(c, FieldElement):
-                if c.field.p != p:
-                    raise ValueError("coefficient modulus mismatch")
-                c = c.residue
-            else:
-                c %= p
+            c %= p
             if c:
                 clean[mask] = c
         self.n = n
@@ -75,11 +70,6 @@ class MultilinearPoly:
             if mask & x_mask == mask:
                 total += c
         return total % self.field.p
-
-    def evaluate(self, x_mask: int) -> FieldElement:
-        if not 0 <= x_mask < (1 << self.n):
-            raise ValueError(f"point mask {x_mask} out of range for n={self.n}")
-        return FieldElement(self.evaluate_residue(x_mask), self.field)
 
     def truth_table(self) -> CubeFunction:
         """Dense evaluation over the whole cube via the subset zeta transform.

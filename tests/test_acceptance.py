@@ -20,7 +20,7 @@ from gridcode.decoder import (
     zero_tail_balanced_set,
 )
 from gridcode.dualwitness import build_witness, verify_witness
-from gridcode.field import PrimeField, binomial_sum, lucas_binomial
+from gridcode.field import PrimeField, binomial_sum
 from gridcode.lowerbound import (
     ALL_PLUS_ONES,
     sample_balanced_vectors,
@@ -126,7 +126,7 @@ def test_a05_balanced_sums_determine_origin():
     for bits in itertools.product(range(2), repeat=5):
         g = MultilinearPoly(4, F2, dict(zip(monomials, bits)))
         values = {y: g.evaluate_residue(y) for y in points}
-        assert decode_from_ball(values, params).residue == g.evaluate_residue(0)
+        assert decode_from_ball(values, params) == g.evaluate_residue(0)
 
     # p=3, d=2, k=3: 1000 random degree-<=2 polynomials on 6 variables.
     params3 = DecoderParams.for_degree(3, 2)
@@ -135,7 +135,7 @@ def test_a05_balanced_sums_determine_origin():
     for _ in range(1000):
         g = random_poly(6, 2, F3, rng)
         values = {y: g.evaluate_residue(y) for y in points3}
-        assert decode_from_ball(values, params3).residue == g.evaluate_residue(0)
+        assert decode_from_ball(values, params3) == g.evaluate_residue(0)
 
     # binomial vanishing pattern behind the construction
     for p in (2, 3, 5):
@@ -143,9 +143,9 @@ def test_a05_balanced_sums_determine_origin():
             k = 1
             while k <= d:
                 k *= p
-            assert lucas_binomial(d + k, k, p) != 0
+            assert math.comb(d + k, k) % p == 1
             for i in range(1, d + 1):
-                assert lucas_binomial(d + k - i, k - i, p) == 0
+                assert math.comb(d + k - i, k - i) % p == 0
     _report("05 balanced-sum decoding identity (exhaustive + 10^3 random)")
 
 

@@ -183,6 +183,10 @@ def test_unknown_flags_rejected():
         ("2 3\n0 1 -1 1\n", ["--n", "2", "--p", "3"], "residue"),
         ("2 2\n0 1 1\n", ["--n", "2", "--p", "2"], "expected 4 values"),
         ("2 2\n0 1 1 0 1\n", ["--n", "2", "--p", "2"], "expected 4 values"),
+        ("1 13\n1_1 \uff13\n", ["--n", "1", "--p", "13"], "'1_1' is not an ASCII decimal"),
+        ("1 13\n0 \uff13\n", ["--n", "1", "--p", "13"], "'\uff13' is not an ASCII decimal"),
+        ("1 13\n+1 -0\n", ["--n", "1", "--p", "13"], "'+1' is not an ASCII decimal"),
+        ("+1 13\n0 1\n", ["--n", "1", "--p", "13"], "'+1' is not an ASCII decimal"),
     ],
 )
 def test_oracle_rejects_mismatched_or_out_of_range_input(tmp_path, capsys, text, flags,

@@ -26,8 +26,7 @@ F3 = PrimeField(3)
 
 def test_params_p2_d1():
     params = DecoderParams.for_degree(2, 1)
-    assert params.k == 2
-    assert params.c.residue == 1
+    assert params == DecoderParams(F2, 1, 2)
     assert params.query_budget == 6
     assert params.tolerance == Fraction(1, 24)
 
@@ -42,6 +41,51 @@ def test_params_k_is_power_of_p_and_bounded():
             while k % p == 0:
                 k //= p
             assert k == 1
+
+
+def test_decoder_constant_vanishing_pattern():
+    # For every k that DecoderParams accepts, C(d+k, k) = 1 mod p, so the
+    # balanced sum is G(0) itself, and the shifted binomials vanish mod p.
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for d in range(11):
+            valid = []
+            for k in range(1, p * max(d, 1) + 1):
+                try:
+                    DecoderParams(field, d, k)
+                except ValueError:
+                    continue
+                valid.append(k)
+                assert math.comb(d + k, k) % p == 1
+                for i in range(1, d + 1):
+                    assert math.comb(d + k - i, k - i) % p == 0
+            assert DecoderParams.for_degree(p, d).k == valid[0]
+            if d >= 1:
+                assert len(valid) == 1
+
+
+@pytest.mark.parametrize(
+    "p, d, k, message",
+    [
+        (3, 2, 4, "not a power of 3"),
+        (2, 2, 6, "not a power of 2"),
+        (2, 2, 2, "must exceed the degree"),
+        (3, 3, 3, "must exceed the degree"),
+        (2, 0, 0, "must exceed the degree"),
+        (2, 1, 4, "at most p\\*d"),
+        (3, 2, 9, "at most p\\*d"),
+        (2, -1, 1, "non-negative"),
+    ],
+)
+def test_decoder_params_rejects_invalid_k(p, d, k, message):
+    with pytest.raises(ValueError, match=message):
+        DecoderParams(PrimeField(p), d, k)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_for_degree_rejects_bad_modulus(p):
+    with pytest.raises(ValueError, match="modulus"):
+        DecoderParams.for_degree(p, 2)
 
 
 def test_balanced_set_small():
@@ -72,7 +116,7 @@ def test_decode_constant_function():
         params = DecoderParams.for_degree(p, d)
         c0 = 1 % p if p > 2 else 1
         values = {y: c0 for y in zero_tail_balanced_set(params.k, d)}
-        assert decode_from_ball(values, params).residue == c0
+        assert decode_from_ball(values, params) == c0
 
 
 def test_decode_linear_example_p2():
@@ -81,7 +125,7 @@ def test_decode_linear_example_p2():
     g = MultilinearPoly(4, F2, {0b0001: 1})
     values = {y: g.evaluate_residue(y) for y in zero_tail_balanced_set(2, 1)}
     assert [values[y] for y in sorted(values)] == [1, 1, 0]
-    assert decode_from_ball(values, params).residue == 0 == g.evaluate_residue(0)
+    assert decode_from_ball(values, params) == 0 == g.evaluate_residue(0)
 
 
 def test_decode_recovers_origin_exhaustive_f2():
@@ -92,7 +136,7 @@ def test_decode_recovers_origin_exhaustive_f2():
         coeffs = dict(zip([0b0000, 0b0001, 0b0010, 0b0100, 0b1000], bits))
         g = MultilinearPoly(4, F2, coeffs)
         values = {y: g.evaluate_residue(y) for y in points}
-        assert decode_from_ball(values, params).residue == g.evaluate_residue(0)
+        assert decode_from_ball(values, params) == g.evaluate_residue(0)
 
 
 def test_decode_recovers_origin_random_f3():
@@ -102,7 +146,7 @@ def test_decode_recovers_origin_random_f3():
     for _ in range(300):
         g = random_poly(2 * params.k, 2, F3, rng)
         values = {y: g.evaluate_residue(y) for y in points}
-        assert decode_from_ball(values, params).residue == g.evaluate_residue(0)
+        assert decode_from_ball(values, params) == g.evaluate_residue(0)
 
 
 def test_decode_from_ball_is_linear():
@@ -113,9 +157,9 @@ def test_decode_from_ball_is_linear():
     v = {y: rng.randrange(3) for y in points}
     for a in range(3):
         combo = {y: (a * u[y] + v[y]) % 3 for y in points}
-        expect = (a * decode_from_ball(u, params).residue
-                  + decode_from_ball(v, params).residue) % 3
-        assert decode_from_ball(combo, params).residue == expect
+        expect = (a * decode_from_ball(u, params)
+                  + decode_from_ball(v, params)) % 3
+        assert decode_from_ball(combo, params) == expect
 
 
 def test_decode_from_ball_key_validation():

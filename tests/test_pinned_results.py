@@ -43,8 +43,7 @@ def test_dual_witnesses_pinned():
                     w = build_witness(k, d, PrimeField(p))
                 except CapacityError:
                     continue
-                weights = tuple(x.residue for x in w.weights)
-                lines.append(f"{k} {d} {p} {w.support} {weights}")
+                lines.append(f"{k} {d} {p} {w.support} {w.weights}")
     assert len(lines) == 33
     assert _digest(lines) == "1b6e78173eff2d95bcd4815c218bb4e9d3afe3a3dcd90576e9649bdf5b4d9a41"
 

@@ -26,18 +26,18 @@ F5 = PrimeField(5)
 def test_evaluate_zero_poly():
     z = MultilinearPoly.zero(3, F5)
     for x in range(8):
-        assert z.evaluate(x).residue == 0
+        assert z.evaluate_residue(x) == 0
 
 
 def test_evaluate_monomial():
     p = MultilinearPoly(2, F2, {0b11: 1})  # X1 * X2
-    assert p.evaluate(0b11).residue == 1
-    assert p.evaluate(0b01).residue == 0
+    assert p.evaluate_residue(0b11) == 1
+    assert p.evaluate_residue(0b01) == 0
 
 
 def test_evaluate_affine_mod_5():
     p = MultilinearPoly(1, F5, {0: 1, 1: 2})  # 1 + 2 X1
-    assert p.evaluate(0b1).residue == 3
+    assert p.evaluate_residue(0b1) == 3
 
 
 def test_from_truth_table_constant():
