@@ -12,11 +12,9 @@ from .lowerbound import HardFunction, SpanInstance, sample_hard_function, t_span
 from .oracle import CodeEnumeration, certify_far, exact_delta_d
 from .poly import MultilinearPoly, from_truth_table, identify_variables, random_poly
 from .restrict import (
-    BucketSample,
     Restriction,
     UniformRestriction,
     exact_bucket_distribution,
-    sample_buckets_cycle,
     sample_restriction_direct,
     sample_restriction_recursive,
 )
@@ -32,7 +30,6 @@ from .tolerant import TolerantParams, closest_poly_on_set, tolerant_test
 __version__ = "0.1.0"
 
 __all__ = [
-    "BucketSample",
     "BudgetExceededError",
     "CapacityError",
     "CodeEnumeration",
@@ -66,7 +63,6 @@ __all__ = [
     "local_decode",
     "random_poly",
     "run_test_once",
-    "sample_buckets_cycle",
     "sample_hard_function",
     "sample_restriction_direct",
     "sample_restriction_recursive",

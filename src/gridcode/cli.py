@@ -37,15 +37,12 @@ class ExperimentConfig:
 
 
 def thread_count() -> int:
-    """Worker processes from GRIDCODE_THREADS (default 1); must be positive."""
+    """Worker processes from GRIDCODE_THREADS (default 1): ASCII decimal
+    digits, at least 1; a sign, space, underscore or other digit is refused."""
     raw = os.environ.get("GRIDCODE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"GRIDCODE_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(f"GRIDCODE_THREADS must be a positive decimal integer, got {raw!r}")
+    return int(raw)
 
 
 def _chunks(trials: int, pieces: int) -> list[tuple[int, int]]:

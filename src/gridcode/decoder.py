@@ -71,16 +71,17 @@ class DecoderParams:
         return Fraction(1, 4 * self.query_budget)
 
 
+def _weight_k_masks(k: int, width: int) -> list[int]:
+    """All masks of ``width`` bits with exactly k ones, ascending."""
+    return sorted(sum(1 << i for i in positions)
+                  for positions in itertools.combinations(range(width), k))
+
+
 def balanced_set(k: int) -> list[int]:
     """All points of {0,1}^{2k} of Hamming weight exactly k, ascending masks."""
     if k < 1:
         raise ValueError("k must be positive")
-    masks = [
-        sum(1 << i for i in positions)
-        for positions in itertools.combinations(range(2 * k), k)
-    ]
-    masks.sort()
-    return masks
+    return _weight_k_masks(k, 2 * k)
 
 
 def zero_tail_balanced_set(k: int, d: int) -> list[int]:
@@ -92,12 +93,7 @@ def zero_tail_balanced_set(k: int, d: int) -> list[int]:
     """
     if not 0 <= d < k:
         raise ValueError(f"need 0 <= d < k, got d={d}, k={k}")
-    masks = [
-        sum(1 << i for i in positions)
-        for positions in itertools.combinations(range(k + d), k)
-    ]
-    masks.sort()
-    return masks
+    return _weight_k_masks(k, k + d)
 
 
 def decode_from_ball(values: dict, params: DecoderParams) -> int:

@@ -361,23 +361,28 @@ class HardFunction:
     s: int
     field: PrimeField | None
     coefficients: tuple[int, ...]
-    values: tuple  # indexed by mask: residues over F_p, integers over Q
-    erased_count: int
 
     def linear_value(self, mask: int):
         """l at the point encoded by the mask (before erasure)."""
         return _linear_value(self.coefficients, self.field, mask)
 
     def value(self, mask: int):
-        return self.values[mask]
+        """0 on the erased set, else l: residues over F_p, integers over Q."""
+        if abs(coordinate_sum(mask, self.n)) >= 2 * self.n / self.s:
+            return 0
+        return self.linear_value(mask)
+
+    @property
+    def erased_count(self) -> int:
+        """|E|: the points whose weight w has |n - 2w| >= 2n/s."""
+        n = self.n
+        return sum(math.comb(n, w) for w in range(n + 1) if abs(n - 2 * w) >= 2 * n / self.s)
 
     def erased_fraction(self) -> Fraction:
         return Fraction(self.erased_count, 1 << self.n)
 
     def distance_to_linear(self) -> Fraction:
-        diff = sum(
-            self.values[m] != self.linear_value(m) for m in range(1 << self.n)
-        )
+        diff = sum(self.value(m) != self.linear_value(m) for m in range(1 << self.n))
         return Fraction(diff, 1 << self.n)
 
 
@@ -389,7 +394,7 @@ def erased_fraction_bound(n: int, s: int) -> float:
 def sample_hard_function(
     n: int, s: int, field: PrimeField | None, rng, require_large_char: bool = False
 ) -> HardFunction:
-    """Draw coefficients, then erase every imbalanced input to 0.
+    """Draw coefficients; ``value`` erases every imbalanced input to 0.
 
     ``require_large_char`` enforces the regime where decoding is provably
     hard: characteristic 0 or at least n^2.
@@ -405,7 +410,7 @@ def sample_hard_function(
             exponent = 1
         width = n ** exponent
         coefficients = tuple(rng.randint(-width, width) for _ in range(n))
-    return _build_hard_table(n, s, field, coefficients)
+    return HardFunction(n, s, field, coefficients)
 
 
 def _linear_value(coefficients, field: PrimeField | None, mask: int):
@@ -414,19 +419,6 @@ def _linear_value(coefficients, field: PrimeField | None, mask: int):
     for j, a in enumerate(coefficients):
         total += -a if (mask >> j) & 1 else a
     return total if field is None else total % field.p
-
-
-def _build_hard_table(n, s, field, coefficients) -> HardFunction:
-    values = []
-    erased = 0
-    threshold = 2 * n / s
-    for mask in range(1 << n):
-        if abs(coordinate_sum(mask, n)) >= threshold:
-            values.append(0)
-            erased += 1
-        else:
-            values.append(_linear_value(coefficients, field, mask))
-    return HardFunction(n, s, field, coefficients, tuple(values), erased)
 
 
 @dataclass(frozen=True)

@@ -195,19 +195,17 @@ def direct_restriction(n: int, k: int, shift_bits, perm, parents) -> Restriction
     """
     if not n > k >= 1:
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+    # A chain's complement is the xor of its positions' bits; a parent comes
+    # before its child, so one forward pass finishes every parent first.
+    owner = _parent_owners(n, k, parents)
+    bits = list(shift_bits)
+    for pos in range(k, n):
+        bits[pos] ^= bits[parents[pos]]
     phi = [0] * n
     shift = 0
-    for pos in range(n):
-        cur = pos
-        acc = 0
-        while cur >= k:
-            acc ^= shift_bits[cur]
-            cur = parents[cur]
-        acc ^= shift_bits[cur]
-        var = perm[pos]
-        phi[var] = cur
-        if acc:
-            shift |= 1 << var
+    for pos, var in enumerate(perm):
+        phi[var] = owner[pos]
+        shift |= bits[pos] << var
     return Restriction(n, k, phi, shift)
 
 
@@ -222,71 +220,35 @@ def sample_restriction_direct(n: int, k: int, rng) -> Restriction:
     return direct_restriction(n, k, shift_bits, perm, _sample_parents(n, k, rng))
 
 
-@dataclass(frozen=True)
-class BucketSample:
-    """A partition of [r] into k labelled buckets with seed j in bucket j."""
-
-    r: int
-    k: int
-    buckets: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if len(self.buckets) != self.k:
-            raise ValueError("wrong bucket count")
-        union = set()
-        for j, b in enumerate(self.buckets):
-            if not b:
-                raise ValueError(f"bucket {j} is empty")
-            if j not in b:
-                raise ValueError(f"bucket {j} does not contain its seed")
-            union |= b
-        if union != set(range(self.r)):
-            raise ValueError("buckets do not partition the ground set")
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.buckets)
-
-    def sorted_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.sizes()))
-
-
 def _check_buckets(r: int, k: int) -> None:
     """The one argument check of every bucket process: r >= k >= 1."""
     if not r >= k >= 1:
         raise ValueError(f"need r >= k >= 1, got r={r}, k={k}")
 
 
-def _cycle_buckets(r: int, k: int, entry: int, rest) -> list[set]:
-    """Arc partition of the order [entry, *rest]; seeds are elements < k."""
-    buckets: list[set] = [set() for _ in range(k)]
+def _cycle_sizes(k: int, entry: int, rest) -> list[int]:
+    """Bucket sizes, indexed by seed, of the cycle order [entry, *rest]: each
+    seed (element < k) opens its bucket, which every element up to the next
+    seed joins."""
+    sizes = [0] * k
     current = entry
-    buckets[entry].add(entry)
+    sizes[entry] = 1
     for element in rest:
         if element < k:
             current = element
-        buckets[current].add(element)
-    return buckets
+        sizes[current] += 1
+    return sizes
 
 
-def sample_buckets_cycle(r: int, k: int, rng) -> BucketSample:
+def sample_buckets_cycle_sizes(r: int, k: int, rng) -> tuple[int, ...]:
     """Cycle sampler: uniform entry special element, uniform order of the rest.
 
     Walking the cycle from the entry point, each special element (0..k-1)
     opens the bucket that collects the non-special elements up to the next
-    special one.
+    special one.  Returns the sorted sizes.
     """
     entry, rest = _sample_cycle(r, k, rng)
-    buckets = _cycle_buckets(r, k, entry, rest)
-    return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
-
-
-def sample_buckets_cycle_sizes(r: int, k: int, rng) -> tuple[int, ...]:
-    """``sample_buckets_cycle(r, k, rng).sorted_sizes()`` from the same random
-    calls, without building the partition: the buckets are the arcs between
-    consecutive special elements of the order."""
-    entry, rest = _sample_cycle(r, k, rng)
-    cuts = [0, *(pos for pos, element in enumerate(rest, 1) if element < k), r]
-    return tuple(sorted(b - a for a, b in zip(cuts, cuts[1:])))
+    return tuple(sorted(_cycle_sizes(k, entry, rest)))
 
 
 def _sample_cycle(r: int, k: int, rng) -> tuple[int, list[int]]:
@@ -319,18 +281,8 @@ def _parent_bucket_sizes(r: int, k: int, parents) -> list[int]:
     return [owner.count(j) for j in range(k)]
 
 
-def sample_buckets_direct(r: int, k: int, rng) -> BucketSample:
-    """Parent-process sampler for the bucket distribution alone."""
-    _check_buckets(r, k)
-    buckets: list[set] = [set() for _ in range(k)]
-    for i, j in enumerate(_parent_owners(r, k, _sample_parents(r, k, rng))):
-        buckets[j].add(i)
-    return BucketSample(r, k, tuple(frozenset(b) for b in buckets))
-
-
 def sample_buckets_direct_sizes(r: int, k: int, rng) -> tuple[int, ...]:
-    """``sample_buckets_direct(r, k, rng).sorted_sizes()`` from the same random
-    calls, by counting sizes instead of building the partition."""
+    """Parent-process sampler for the sorted bucket sizes alone."""
     _check_buckets(r, k)
     return tuple(sorted(_parent_bucket_sizes(r, k, _sample_parents(r, k, rng))))
 
@@ -356,8 +308,7 @@ def enumerate_cycle_buckets(r: int, k: int):
     for entry in range(k):
         rest = [e for e in range(r) if e != entry]
         for order in itertools.permutations(rest):
-            buckets = _cycle_buckets(r, k, entry, order)
-            yield tuple(len(b) for b in buckets), weight
+            yield tuple(_cycle_sizes(k, entry, order)), weight
 
 
 def enumerate_recursive_buckets(n: int, k: int):

@@ -27,6 +27,23 @@ def chi_square_homogeneity(counts_a: dict, counts_b: dict, min_expected: int = 1
     return float(p_value)
 
 
+def chi_square_goodness_of_fit(counts: dict, probabilities: dict, min_expected: int = 10) -> float:
+    """p-value of the chi-square test that ``counts`` were drawn from the
+    exact distribution ``probabilities`` (category -> probability).  Sparse
+    categories (expected count below ``min_expected``) are merged into one bin."""
+    if set(counts) - set(probabilities):
+        return 0.0
+    categories = sorted(probabilities)
+    total = sum(counts.values())
+    observed = np.array([counts.get(c, 0) for c in categories], dtype=float)
+    expected = np.array([float(probabilities[c]) * total for c in categories])
+    keep = expected >= min_expected
+    if (~keep).any():
+        observed = np.append(observed[keep], observed[~keep].sum())
+        expected = np.append(expected[keep], expected[~keep].sum())
+    return float(stats.chisquare(observed, expected).pvalue)
+
+
 def binomial_lower_bound(successes: int, trials: int, confidence: float = 0.99) -> float:
     """One-sided lower confidence bound for a binomial proportion
     (Clopper-Pearson)."""

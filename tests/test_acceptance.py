@@ -33,7 +33,7 @@ from gridcode.rand import derive_rng
 from gridcode.restrict import (
     enumerate_cycle_buckets,
     exact_bucket_distribution,
-    sample_buckets_direct,
+    sample_buckets_direct_sizes,
     sample_restriction_recursive,
 )
 from gridcode.tester import TesterParams, estimate_rejection_probability, run_test_once
@@ -101,7 +101,7 @@ def test_a03_tester_descriptions_equivalent():
         recursive_counts[restriction.bucket_sizes()] += 1
     direct_counts = Counter()
     for _ in range(samples):
-        direct_counts[sample_buckets_direct(12, 4, rng).sorted_sizes()] += 1
+        direct_counts[sample_buckets_direct_sizes(12, 4, rng)] += 1
     p_value = chi_square_homogeneity(recursive_counts, direct_counts)
     assert p_value > 0.01, p_value
     _report(f"03 process equivalence (exact + chi-square p={p_value:.3f})")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gridcode.cli import COMMON, build_parser, main
+from gridcode.cli import COMMON, build_parser, main, thread_count
 from gridcode.cube import CubeFunction, write_truth_table
 from gridcode.field import PrimeField
 from gridcode.restrict import exact_bucket_distribution
@@ -267,15 +267,29 @@ def test_largest_seed_accepted(tmp_path):
         ["buckets", "--r", "5", "--k", "2"],
     ],
 )
-@pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "", "1_6", " 2", "+2", "\u0663"])
 def test_invalid_thread_count_rejected(tmp_path, capsys, monkeypatch, argv, threads):
     monkeypatch.setenv("GRIDCODE_THREADS", threads)
     out = tmp_path / "t.csv"
     code = main(argv + ["--trials", "4", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == f"error: GRIDCODE_THREADS must be a positive integer, got {threads!r}\n"
+    assert err == f"error: GRIDCODE_THREADS must be a positive decimal integer, got {threads!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1_6", " 2", "2 ", "+2", "\u0663", "2.0"])
+def test_thread_count_accepts_only_ascii_decimal_digits(monkeypatch, threads):
+    # int() would read each of these as a worker count ("1_6" as 16).
+    monkeypatch.setenv("GRIDCODE_THREADS", threads)
+    with pytest.raises(ValueError, match="GRIDCODE_THREADS must be a positive decimal integer"):
+        thread_count()
+
+
+@pytest.mark.parametrize("threads, expected", [("1", 1), ("3", 3), ("016", 16)])
+def test_thread_count_reads_decimal_digits(monkeypatch, threads, expected):
+    monkeypatch.setenv("GRIDCODE_THREADS", threads)
+    assert thread_count() == expected
 
 
 # sha256 of each artifact as the scalar span scan, the partition-building

@@ -11,7 +11,6 @@ from gridcode.field import PrimeField
 from gridcode.poly import random_poly
 from gridcode.restrict import (
     BUCKET_PROCESSES,
-    BucketSample,
     IdentificationStep,
     Restriction,
     RestrictionTranscript,
@@ -21,15 +20,13 @@ from gridcode.restrict import (
     enumerate_cycle_buckets,
     exact_bucket_distribution,
     min_bucket_tail,
-    sample_buckets_cycle,
     sample_buckets_cycle_sizes,
-    sample_buckets_direct,
     sample_buckets_direct_sizes,
     sample_restriction_direct,
     sample_restriction_recursive,
 )
 from gridcode.tester import TesterParams, run_test_once
-from stats_util import chi_square_homogeneity
+from stats_util import chi_square_goodness_of_fit, chi_square_homogeneity
 
 
 def test_restriction_requires_full_buckets():
@@ -121,13 +118,8 @@ def test_processes_agree_statistically():
         rec[r.bucket_sizes()] += 1
     dire = Counter()
     for _ in range(samples):
-        dire[sample_buckets_direct(n, k, rng).sorted_sizes()] += 1
+        dire[sample_buckets_direct_sizes(n, k, rng)] += 1
     assert chi_square_homogeneity(rec, dire) > 0.01
-
-
-def test_cycle_all_singletons_when_r_equals_k():
-    sample = sample_buckets_cycle(4, 4, random.Random(4))
-    assert sample.sorted_sizes() == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))
@@ -138,11 +130,14 @@ def test_every_process_gives_singletons_when_r_equals_k(process):
         assert sample_sizes(k, k, random.Random(k)) == (1,) * k
 
 
-def test_cycle_sample_is_valid_partition():
-    for seed in range(50):
-        sample = sample_buckets_cycle(9, 3, random.Random(seed))
-        assert sample.sorted_sizes() == tuple(sorted(sample.sizes()))
-        assert sum(sample.sizes()) == 9
+@pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))
+def test_sizes_sampler_fits_exact_distribution(process):
+    sample_sizes = BUCKET_PROCESSES[process][0]
+    rng = random.Random(63)
+    counts = Counter(sample_sizes(6, 3, rng) for _ in range(20000))
+    assert sum(counts.values()) == 20000
+    exact = exact_bucket_distribution(6, 3, process)
+    assert chi_square_goodness_of_fit(counts, exact) > 0.01
 
 
 def test_cycle_k2_first_bucket_uniform():
@@ -158,16 +153,6 @@ def test_cycle_k2_first_bucket_uniform():
 def test_cycle_matches_parent_exactly():
     for r, k in ((5, 2), (6, 3)):
         assert exact_bucket_distribution(r, k, "cycle") == exact_bucket_distribution(r, k)
-
-
-def test_bucket_sample_validation():
-    with pytest.raises(ValueError):
-        BucketSample(3, 2, (frozenset({0, 1, 2}), frozenset()))
-    with pytest.raises(ValueError):
-        BucketSample(3, 2, (frozenset({0, 1}), frozenset({0, 2})))
-    with pytest.raises(ValueError):
-        # seed 1 is not in bucket 1
-        BucketSample(3, 2, (frozenset({0, 1}), frozenset({2})))
 
 
 def test_min_bucket_tail_trivial_region():
@@ -216,32 +201,13 @@ def test_compose_matches_sequential_maps():
         assert ((combined.shift_mask >> i) & 1) == expected_shift
 
 
-SIZE_GRID = [(1, 1), (4, 4), (5, 1), (9, 1), (5, 2), (9, 3), (12, 4), (13, 13), (20, 7)]
-
-
-@pytest.mark.parametrize("r, k", SIZE_GRID)
-def test_sizes_only_samplers_match_partition_samplers(r, k):
-    for full, sizes_only in ((sample_buckets_cycle, sample_buckets_cycle_sizes),
-                             (sample_buckets_direct, sample_buckets_direct_sizes)):
-        for seed in range(40):
-            rng_a, rng_b = random.Random(seed), random.Random(seed)
-            sizes = sizes_only(r, k, rng_b)
-            assert sizes == full(r, k, rng_a).sorted_sizes()
-            assert isinstance(sizes, tuple) and sum(sizes) == r
-            assert rng_a.getstate() == rng_b.getstate()
-
-
-@pytest.mark.parametrize("sampler", ["cycle", "direct"])
+@pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))
 @pytest.mark.parametrize("r, k", [(3, 4), (0, 0), (5, 0), (2, -1)])
-def test_sizes_only_samplers_reject_bad_arguments(sampler, r, k):
-    full = {"cycle": sample_buckets_cycle, "direct": sample_buckets_direct}[sampler]
+def test_sizes_only_samplers_reject_bad_arguments(process, r, k):
     with pytest.raises(ValueError, match="need r >= k >= 1"):
-        full(r, k, random.Random(0))
-    for process, (sample_sizes, _, _) in BUCKET_PROCESSES.items():
-        with pytest.raises(ValueError, match="need r >= k >= 1"):
-            sample_sizes(r, k, random.Random(0))
-        with pytest.raises(ValueError, match="need r >= k >= 1"):
-            exact_bucket_distribution(r, k, process)
+        BUCKET_PROCESSES[process][0](r, k, random.Random(0))
+    with pytest.raises(ValueError, match="need r >= k >= 1"):
+        exact_bucket_distribution(r, k, process)
     with pytest.raises(ValueError, match="need r >= k >= 1"):
         min_bucket_tail(r, k, 10, random.Random(0))
 
