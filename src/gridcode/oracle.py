@@ -8,27 +8,41 @@ exact paths, all with that result:
 
 * d = 1: over F_2 the Walsh-Hadamard transform of w (-1)^f, O(k 2^k); over
   odd p a residue histogram built one coordinate at a time, O(p^(k+1)).
-* d = 2 over F_2: one Walsh-Hadamard transform per quadratic part, that is
-  per coset of first-order Reed-Muller, O(2^C(k,2) k 2^k).
+* d = 2 over F_2: the Walsh-Hadamard transform of every quadratic coset of
+  first-order Reed-Muller, as one matrix product, O(2^C(k,2) 4^k).
 * everything else: the block scan ``_min_disagreement``, which compares the
   input with every codeword at every point, O(p^C(k,<=d) 2^k), one block of
   codewords at a time and with nothing cached between calls.  It is also the
   reference the transforms are tested against.
 
+The transforms read a plan built once per code and kept in a bounded
+``functools.lru_cache``, so that a repeated call does only the work that
+depends on its input.  Every cached array is read-only.
+
+* ``_coset_plan(k, d)``, d <= 2 over F_2: the +-1 characters of every
+  quadratic part, float64, 8 * 2^(C(k,2) + k) bytes (256 KiB at k = 5 and
+  16 MiB at k = 6, the largest k the default budget admits at d = 2; none at
+  d = 1), and the index digits of the quadratic and linear parts,
+  8 * (2^C(k,2) + 2^k) bytes.
+* ``_histogram_plan(k, p)``, d = 1 over odd p: the point numbers and the
+  residue shift table, 8 * (2^k + p^2) bytes.
+
 Budgets count p^C(k,<=d) codewords on every path and are hard errors, never
-silent approximations.
+silent approximations; the budget check precedes every plan.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .cube import CubeFunction
 from .errors import BudgetExceededError
-from .field import PrimeField, binomial_sum
-from .poly import MultilinearPoly, subsets_up_to
+from .field import PrimeField
+from .poly import MultilinearPoly, _monomials
 
 # Default number of codewords p^C(k,<=d) an oracle call may enumerate.
 CODEWORD_BUDGET = 10**7
@@ -77,8 +91,8 @@ class CodeEnumeration:
         self.k = k
         self.d = d
         self.field = field
-        self.monomials = subsets_up_to(k, d)
-        self.dimension = binomial_sum(k, d)
+        self.monomials = _monomials(k, d)
+        self.dimension = len(self.monomials)
         self.size = field.p ** self.dimension
         if self.size > budget:
             raise BudgetExceededError(
@@ -102,6 +116,14 @@ class CodeEnumeration:
         return MultilinearPoly(self.k, self.field, coeffs)
 
     def index_of(self, poly: MultilinearPoly) -> int:
+        """Index of a polynomial of the code; ValueError for any other."""
+        if poly.n != self.k:
+            raise ValueError(f"polynomial has n={poly.n}, code has k={self.k}")
+        if poly.field != self.field:
+            raise ValueError(f"polynomial is over F_{poly.field.p}, code is over F_{self.field.p}")
+        for m in poly.coeffs:
+            if m.bit_count() > self.d:
+                raise ValueError(f"monomial {m:#b} has degree {m.bit_count()} > d={self.d}")
         p = self.field.p
         index = 0
         for m in self.monomials:
@@ -186,11 +208,26 @@ def _min_disagreement(code: CodeEnumeration, points, table: np.ndarray,
     return best_index, best_count
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only, for plans shared by every later call."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=32)
+def _histogram_plan(k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, shift) for ``_histogram_nearest``: the point numbers 0..2^k-1
+    and shift[a, s] = s + a mod p, both read-only; 8 (2^k + p^2) bytes."""
+    shift = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
+    return _read_only(np.arange(1 << k)), _read_only(shift)
+
+
 def _histogram_nearest(code: CodeEnumeration, table: np.ndarray,
-                       weights: np.ndarray) -> tuple[int, int]:
+                       weights: np.ndarray | None) -> tuple[int, int]:
     """(best codeword index, weighted disagreement count) for d = 1, any p.
 
-    ``table`` and ``weights`` cover all of {0,1}^k.  The histogram starts as
+    ``table`` and ``weights`` cover all of {0,1}^k (every weight 1 when
+    ``weights`` is None).  The histogram starts as
     hist[s, x] = w(x) [f(x) = s]; eliminating coordinate i replaces x_i by
     the coefficient a_i through
     hist'[s, a_i, ...] = hist[s, x_i = 0, ...] + hist[s + a_i mod p, x_i = 1, ...],
@@ -201,23 +238,25 @@ def _histogram_nearest(code: CodeEnumeration, table: np.ndarray,
     counts, O(p^(k+1)) work.
     """
     p, k = code.field.p, code.k
-    hist = np.zeros((1, p, 1 << k), dtype=np.int64)
-    hist[0, table, np.arange(1 << k)] = weights
-    shift = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p  # shift[a, s] = s + a
-    for _ in range(k):
-        halves = hist.reshape(len(hist), p, -1, 2)
-        x0, x1 = halves[..., 0], halves[..., 1]
-        hist = (x0[:, None] + x1[:, shift]).reshape(-1, p, x0.shape[2])
+    points, shift = _histogram_plan(k, p)
+    hist = np.zeros((p, 1 << k), dtype=np.int64)
+    hist[table, points] = 1 if weights is None else weights
+    for i in range(k):
+        halves = hist.reshape(p ** i, p, -1, 2)
+        hist = np.take(halves[..., 1], shift, axis=1)
+        hist += halves[:, None, :, :, 0]
+        hist = hist.reshape(p ** (i + 1), p, -1)
     agree = hist.reshape(-1, p).T.ravel()
     best = int(np.argmax(agree))
-    return best, int(weights.sum()) - int(agree[best])
+    total = 1 << k if weights is None else int(weights.sum())
+    return best, total - int(agree[best])
 
 
 # Sylvester's Hadamard matrix H[a, x] = (-1)^|a & x| on 6 bits; its leading
 # 2^c x 2^c block is the matrix on c bits.
 _HADAMARD_BITS = 6
-_HADAMARD = np.array([[-1.0 if (a & x).bit_count() & 1 else 1.0 for x in range(64)]
-                      for a in range(64)])
+_HADAMARD = _read_only(np.array([[-1.0 if (a & x).bit_count() & 1 else 1.0 for x in range(64)]
+                                 for a in range(64)]))
 
 
 def _walsh_hadamard(rows: np.ndarray, k: int) -> np.ndarray:
@@ -240,39 +279,85 @@ def _walsh_hadamard(rows: np.ndarray, k: int) -> np.ndarray:
     return rows.reshape(-1, 1 << k)
 
 
+def _subset_sums(values) -> np.ndarray:
+    """Sum of each subset of ``values``, at the row number whose bits select
+    it, the first value as the most significant bit."""
+    sums = np.zeros(1, dtype=np.int64)
+    for value in values:
+        sums = (sums[:, None] + np.array([0, value])).ravel()
+    return sums
+
+
+class _CosetPlan(NamedTuple):
+    """What ``_coset_nearest`` needs of the code F(k, d), read-only."""
+
+    signs: np.ndarray | None  # (-1)^q(x) per quadratic part q (row) and x; None at d = 1
+    quadratic_index: np.ndarray  # index digits of each row's quadratic part
+    linear_index: np.ndarray  # index digits of a.x, at a
+    constant_index: int  # index digit of the constant 1
+
+
+@functools.lru_cache(maxsize=16)
+def _coset_plan(k: int, d: int) -> _CosetPlan:
+    """The quadratic-coset characters and index digits of F(k, d) over F_2.
+
+    ``signs`` is float64 so that the per-call product runs in BLAS straight
+    from the cache.  Stored as int8 it would take an eighth of the memory,
+    but every call would convert it first: at k = 5 that is a second
+    256 KiB temporary, and with both a call took ~0.23 ms against ~0.08 ms
+    on a 2-vCPU Xeon VM, most of it in page faults.
+    """
+    monomials = _monomials(k, d)
+    digit = {m: 1 << (len(monomials) - 1 - j) for j, m in enumerate(monomials)}
+    quadratic = [m for m in monomials if m.bit_count() == 2]
+    signs = None
+    if quadratic:
+        x = np.arange(1 << k)
+        masks = np.asarray(quadratic, dtype=np.int64).reshape(-1, 1)
+        parts = _span_values(((x & masks) == masks).astype(np.uint8), 2)
+        signs = _read_only(1.0 - 2.0 * parts)
+    return _CosetPlan(
+        signs,
+        # rows follow _span_values: the first quadratic monomial is the top bit
+        _read_only(_subset_sums(digit[m] for m in quadratic)),
+        # bit i of a is the coefficient of x_i
+        _read_only(_subset_sums(digit[1 << i] for i in reversed(range(k)))),
+        digit[0],
+    )
+
+
 def _coset_nearest(code: CodeEnumeration, table: np.ndarray,
-                   weights: np.ndarray) -> tuple[int, int]:
+                   weights: np.ndarray | None) -> tuple[int, int]:
     """(best codeword index, weighted disagreement count) for d <= 2 over F_2.
 
     Every codeword is q + a.x + c with q one of the 2^C(k,2) quadratic parts
     (none for d = 1), so each q gives a coset of first-order Reed-Muller.
     With S_q the Walsh-Hadamard transform of w (-1)^(f+q), the codeword
     q + a.x + c disagrees with f on weight (W - (-1)^c S_q[a]) / 2, W the
-    total weight.  The best count comes from the extreme S_q[a], and c = 0
-    wins when both signs reach it, since c is the most significant digit.
-    Only the tied (q, a) are mapped to indices, digit by digit, and the
-    smallest wins, which is the tie-break of ``_min_disagreement``.
-    O(2^C(k,2) k 2^k) work.
+    total weight (every weight 1 when ``weights`` is None).  The transform
+    is linear, so every S_q comes from one product of the cached characters
+    (-1)^q with the transform of diag(w (-1)^f).  The best count comes from
+    the extreme S_q[a], and c = 0 wins when both signs reach it, since c is
+    the most significant digit.  Only the tied (q, a) are mapped to indices,
+    through the cached digit tables, and the smallest wins, which is the
+    tie-break of ``_min_disagreement``.  O(2^C(k,2) 4^k) work.
     """
     k = code.k
-    x = np.arange(1 << k)
-    quadratic = [m for m in code.monomials if m.bit_count() == 2]
-    masks = np.asarray(quadratic, dtype=np.int64).reshape(-1, 1)
-    parts = _span_values(((x & masks) == masks).astype(np.uint8), 2)
-    signed = weights * (1.0 - 2.0 * table)
-    spectrum = _walsh_hadamard((1.0 - 2.0 * parts) * signed, k).ravel()
-    high, low = int(spectrum.max()), int(spectrum.min())
+    plan = _coset_plan(k, code.d)
+    signed = 1.0 - 2.0 * table
+    if weights is not None:
+        signed *= weights
+    if plan.signs is None:
+        spectrum = _walsh_hadamard(signed, k).ravel()
+    else:
+        spectrum = (plan.signs @ _walsh_hadamard(np.diag(signed), k)).ravel()
+    high, low = spectrum.max(), spectrum.min()
     plus = high >= -low
     top = high if plus else low
-    digit = {m: 1 << (code.dimension - 1 - j) for j, m in enumerate(code.monomials)}
-    linear = np.asarray([digit[1 << i] for i in range(k)], dtype=np.int64)
-    # bit t of a row number is the t-th quadratic digit from the last
-    quad = np.asarray([digit[m] for m in reversed(quadratic)], dtype=np.int64)
     tied = np.flatnonzero(spectrum == top)
-    r, a = tied >> k, tied & ((1 << k) - 1)
-    index = (((a[:, None] >> np.arange(k)) & 1) @ linear
-             + ((r[:, None] >> np.arange(len(quad))) & 1) @ quad)
-    return int(index.min()) + (0 if plus else digit[0]), (int(weights.sum()) - abs(top)) // 2
+    index = plan.quadratic_index[tied >> k] + plan.linear_index[tied & ((1 << k) - 1)]
+    total = 1 << k if weights is None else int(weights.sum())
+    return int(index.min()) + (0 if plus else plan.constant_index), (total - abs(int(top))) // 2
 
 
 def nearest_codeword(code: CodeEnumeration, table: np.ndarray,
@@ -286,20 +371,19 @@ def nearest_codeword(code: CodeEnumeration, table: np.ndarray,
     of first-order Reed-Muller, d = 1 over odd p residue histograms; both
     spread the points over the whole cube with weight zero elsewhere.
     Everything else is the block scan.  ``code`` is built first, so its
-    budget check precedes every path.
+    budget check precedes every path and every plan.  No path writes into
+    ``table`` or ``weights``.
     """
     p, k = code.field.p, code.k
     if not (code.d == 1 or (code.d == 2 and p == 2)):
         if points is None:
             points = range(1 << k)
         return _min_disagreement(code, points, table, weights)
-    if weights is None:
-        weights = np.ones(len(table), dtype=np.int64)
     if points is not None:
         full_table = np.zeros(1 << k, dtype=table.dtype)
         full_weights = np.zeros(1 << k, dtype=np.int64)
         full_table[points] = table
-        full_weights[points] = weights
+        full_weights[points] = 1 if weights is None else weights
         table, weights = full_table, full_weights
     transform = _coset_nearest if p == 2 else _histogram_nearest
     return transform(code, table, weights)
@@ -312,8 +396,10 @@ def exact_delta_d(f: CubeFunction, d: int, budget: int = CODEWORD_BUDGET):
     BudgetExceededError when p^C(n,<=d) exceeds the budget.
     """
     code = CodeEnumeration(f.n, d, f.field, budget=budget)
-    dtype = np.uint8 if f.field.p < 256 else np.int64
-    table = np.asarray(f.values, dtype=dtype)
+    if f.field.p < 256:
+        table = np.frombuffer(bytes(f.values), dtype=np.uint8)
+    else:
+        table = np.asarray(f.values, dtype=np.int64)
     best, count = nearest_codeword(code, table)
     return Fraction(count, 1 << f.n), code.poly_at(best)
 

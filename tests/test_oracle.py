@@ -32,6 +32,16 @@ def test_enumeration_size_and_roundtrip():
         assert code.index_of(code.poly_at(index)) == index
 
 
+@pytest.mark.parametrize("poly, message", [
+    (MultilinearPoly(3, F2, {0b011: 1}), "monomial 0b11 has degree 2 > d=1"),
+    (MultilinearPoly(5, F2, {0b1: 1}), "polynomial has n=5, code has k=3"),
+    (MultilinearPoly(3, F3, {0b1: 2}), "polynomial is over F_3, code is over F_2"),
+], ids=["degree", "variables", "field"])
+def test_index_of_rejects_polynomials_outside_the_code(poly, message):
+    with pytest.raises(ValueError, match=message):
+        CodeEnumeration(3, 1, F2).index_of(poly)
+
+
 def test_enumeration_is_lexicographic_and_duplicate_free():
     code = CodeEnumeration(3, 1, F2)
     vectors = [code.coefficient_vector(i) for i in range(code.size)]
@@ -282,8 +292,8 @@ def test_transforms_match_block_scan_on_full_cube():
         n = (len(values) - 1).bit_length()
         code = CodeEnumeration(n, d, field)
         table = np.asarray(values, dtype=np.uint8)
-        # unit weights keep the scan in bounded blocks: the cached full-cube
-        # matrix for n = 6, d = 2 would take 256 MB
+        # the scan's weighted branch with unit weights, so the reference counts
+        # another way than the unweighted transforms
         expected = _min_disagreement(code, range(1 << n), table, np.ones(1 << n, np.int64))
         assert nearest_codeword(code, table) == expected, (d, field.p, values)
         assert exact_delta_d(CubeFunction(n, field, values), d) == (
@@ -316,12 +326,45 @@ def test_transforms_match_block_scan_on_weighted_multisets():
     assert cases == 10 * 8 + 4 * 3 and tied > cases // 3
 
 
+@pytest.mark.parametrize("p", [251, 257])
+def test_exact_delta_d_on_both_table_dtypes(p):
+    # p = 251 reads the table as bytes, p = 257 as int64
+    field = PrimeField(p)
+    code = CodeEnumeration(1, 1, field)
+    rng = random.Random(p)
+    for values in ([0, 0], [p - 1, 0], [3, p - 1], [rng.randrange(p), rng.randrange(p)]):
+        table = np.asarray(values, dtype=np.uint8 if p < 256 else np.int64)
+        best, count = _min_disagreement(code, range(2), table)
+        assert exact_delta_d(CubeFunction(1, field, values), 1) == (
+            Fraction(count, 2), code.poly_at(best))
+
+
+def test_plans_are_keyed_by_code_and_read_only():
+    # Alternate the codes so that every call after the first of its key
+    # reads a plan built for an earlier call, never one of another key.
+    keys = [(3, 2, 2), (5, 2, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)]
+    streams = [_weighted_samples([key + (6,)], seed=91 + i) for i, key in enumerate(keys)]
+    cases = 0
+    for round_cases in zip(*streams):
+        for code, points, table, weights in round_cases:
+            expected = _min_disagreement(code, points, table, weights)
+            assert nearest_codeword(code, table, weights, points) == expected
+            cases += 1
+    assert cases == 6 * len(keys)
+    plans = [oracle._coset_plan(k, d) for k, d, p in keys if p == 2]
+    plans += [oracle._histogram_plan(k, p) for k, d, p in keys if p > 2]
+    arrays = [a for plan in plans for a in plan if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3 * 3 + 2 * 2 + 2 * 2  # d = 1 cosets have no signs
+    assert not any(a.flags.writeable for a in arrays + [oracle._HADAMARD])
+
+
 @pytest.mark.parametrize("k, d, p", [(7, 2, 2), (8, 2, 2), (5, 2, 3), (13, 1, 5), (2, 1, 257)])
 def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
     def unreachable(*args, **kwargs):
         raise AssertionError("a nearest-codeword path ran past the budget check")
 
-    for name in ("_histogram_nearest", "_coset_nearest", "_min_disagreement"):
+    for name in ("_histogram_nearest", "_coset_nearest", "_min_disagreement",
+                 "_histogram_plan", "_coset_plan"):
         monkeypatch.setattr(oracle, name, unreachable)
     field = PrimeField(p)
     size = p ** sum(math.comb(k, i) for i in range(d + 1))
