@@ -228,7 +228,7 @@ def run_buckets_command(config: ExperimentConfig) -> list[dict]:
 
 def run_span_command(config: ExperimentConfig) -> dict:
     p = config.params
-    field = PrimeField(p["p"]) if p["p"] else None
+    field = None if p["p"] is None else PrimeField(p["p"])
     trials = []
     for i in range(config.trials):
         rng = derive_rng(config.master_seed, i)
@@ -414,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta2", type=str, required=True)
     sp.add_argument("--delta", dest="deltas", metavar="DELTA", nargs="+", required=True)
     sp.add_argument("--k", type=int, default=None,
-                    help="small-cube dimension (default d+5); its p^C(k,<=d) codewords must fit "
-                         f"the budget of {oracle.CODEWORD_BUDGET:,}, so --d 2 needs --k (at most "
-                         "6 over F_2, 4 over F_3), and so does --d 1 over p >= 11")
+                    help="small-cube dimension (default: the largest k in (d, d+5] whose "
+                         f"p^C(k,<=d) codewords fit the budget of {oracle.CODEWORD_BUDGET:,})")
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--reps", type=int, default=1)
     sp.add_argument("--replacement", action=argparse.BooleanOptionalAction, default=True)
@@ -483,9 +482,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     elif sub == "tolerant":
         params["delta1"] = _fraction("--delta1", args.delta1)
         params["delta2"] = _fraction("--delta2", args.delta2)
-        desk = tolerant.TolerantParams.desk(
-            args.d, params["delta1"], params["delta2"], k=args.k, m=args.m
-        )
+        k = tolerant.desk_k(args.d, args.p) if args.k is None else args.k
+        desk = tolerant.TolerantParams.desk(args.d, params["delta1"], params["delta2"], k=k, m=args.m)
         params["k"], params["m"] = desk.k, desk.m
     return ExperimentConfig(sub, params, args.seed, args.trials, args.out, args.format)
 

@@ -160,13 +160,6 @@ def apply_restriction(f: CubeFunction, r: Restriction) -> CubeFunction:
     return CubeFunction(r.k, f.field, f.values_at(restriction_query_masks(r)))
 
 
-def write_truth_table(f: CubeFunction, stream) -> None:
-    """Text format: first line "n p", then the 2^n residues in mask order."""
-    stream.write(f"{f.n} {f.field.p}\n")
-    stream.write(" ".join(str(v) for v in f.values))
-    stream.write("\n")
-
-
 def _decimal(token: str, what: str) -> int:
     """A token of ASCII decimal digits as an int; any other token (a sign,
     an underscore, a non-ASCII digit) is a ValueError naming it."""
@@ -176,8 +169,9 @@ def _decimal(token: str, what: str) -> int:
 
 
 def read_truth_table(stream) -> CubeFunction:
-    """Read the format of ``write_truth_table``; every token must be ASCII
-    decimal digits and every residue must lie in [0, p)."""
+    """Read the text format: first line "n p", then the 2^n residues in mask
+    order.  Every token must be ASCII decimal digits and every residue must
+    lie in [0, p)."""
     header = stream.readline().split()
     if len(header) != 2:
         raise ValueError("truth table header must be 'n p'")

@@ -124,9 +124,6 @@ class WitnessReport:
     one_point_separation: bool
     separation_mode: str  # "exhaustive" or "implied"
 
-    def all_ok(self) -> bool:
-        return self.orthogonality and self.window and self.size and self.one_point_separation
-
 
 def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
     """Check the three defining properties of a dual witness.

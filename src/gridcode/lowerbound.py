@@ -52,20 +52,6 @@ def sample_balanced_vectors(n: int, s: int, count: int, rng) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SpanInstance:
-    """A pool of balance-bounded candidate vectors for the all-plus-ones target."""
-
-    n: int
-    s: int
-    vectors: tuple[int, ...]
-
-    def __post_init__(self):
-        for v in self.vectors:
-            if abs(coordinate_sum(v, self.n)) > self.n / self.s:
-                raise ValueError("candidate vector violates the balance bound")
-
-
 def _int_det(matrix: list[list[int]]) -> int:
     """Exact determinant of a small integer matrix (fraction-free Bareiss)."""
     m = [row[:] for row in matrix]

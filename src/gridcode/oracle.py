@@ -160,20 +160,6 @@ class CodeEnumeration:
         for h, prefix in enumerate(_span_values(mono[:high], p)):
             yield h * len(suffix), _add_mod(suffix, prefix, p)
 
-    def value_matrix(self, points) -> np.ndarray:
-        """All codeword values on the given points, rows in index order."""
-        points = list(points)
-        matrix = None
-        for start, block in self.iter_value_blocks(points):
-            if matrix is None:
-                matrix = np.empty((self.size, len(points)), dtype=block.dtype)
-            matrix[start:start + len(block)] = block
-        return matrix
-
-    def __iter__(self):
-        for index in range(self.size):
-            yield self.poly_at(index)
-
 
 def _weighted_counts(mask: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row sums of ``weights`` over the True entries of ``mask``, as int64.

@@ -53,10 +53,6 @@ class MultilinearPoly:
         self.field = field
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, n: int, field: PrimeField) -> "MultilinearPoly":
-        return cls(n, field, {})
-
     def degree(self) -> int:
         """Largest monomial size with a nonzero coefficient (0 if none)."""
         if not self.coeffs:
@@ -246,19 +242,6 @@ def _mask_to_text(mask: int) -> str:
     return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _text_to_mask(text: str) -> int:
-    text = text.strip()
-    if text == "0":
-        return 0
-    mask = 0
-    for token in text.split(","):
-        index = int(token)
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
-        mask |= 1 << (index - 1)
-    return mask
-
-
 def write_poly(poly: MultilinearPoly, stream) -> None:
     """Text format: header "n p", then one "S:coeff" line per monomial.
 
@@ -269,19 +252,3 @@ def write_poly(poly: MultilinearPoly, stream) -> None:
     stream.write(f"{poly.n} {poly.field.p}\n")
     for mask in sorted(poly.coeffs):
         stream.write(f"{_mask_to_text(mask)}:{poly.coeffs[mask]}\n")
-
-
-def read_poly(stream) -> MultilinearPoly:
-    header = stream.readline().split()
-    if len(header) != 2:
-        raise ValueError("polynomial header must be 'n p'")
-    n, p = int(header[0]), int(header[1])
-    field = PrimeField(p)
-    coeffs: dict[int, int] = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        left, _, right = line.partition(":")
-        coeffs[_text_to_mask(left)] = int(right)
-    return MultilinearPoly(n, field, coeffs)

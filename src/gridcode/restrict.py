@@ -87,29 +87,6 @@ class UniformRestriction(Restriction):
     require_full_buckets = False
 
 
-def identity_restriction(n: int) -> Restriction:
-    return Restriction(n, n, range(n), 0)
-
-
-def compose(first: Restriction, second: Restriction) -> Restriction:
-    """The single restriction equivalent to applying ``first`` then ``second``.
-
-    x_i = y_{phi1(i)} xor a1_i and y_j = z_{phi2(j)} xor a2_j collapse to
-    phi = phi2 o phi1 with shifts a1_i xor a2_{phi1(i)}.
-    """
-    if second.n != first.k:
-        raise ValueError(f"cannot compose: {first.k} outputs vs {second.n} inputs")
-    phi = tuple(second.var_to_output[j] for j in first.var_to_output)
-    shift = first.shift_mask
-    for i, j in enumerate(first.var_to_output):
-        if (second.shift_mask >> j) & 1:
-            shift ^= 1 << i
-    cls = Restriction
-    if not (first.require_full_buckets and second.require_full_buckets):
-        cls = UniformRestriction
-    return cls(first.n, second.k, phi, shift)
-
-
 class IdentificationStep(NamedTuple):
     """One merge round: the removed variable is replaced by flip xor kept."""
 

@@ -58,9 +58,10 @@ class TesterParams:
         return cls(d=d, k=k if k is not None else d + 2)
 
     @classmethod
-    def faithful(cls, d: int, M: int, hyper_constant: float = 1.0) -> "TesterParams":
-        """The full parameter regime: k = M*d, eps1 = (4C 2^{k H(1/M)})^{-40},
-        ell = ceil(log2(2/eps1)), eps0 = eps1/(100 ell).
+    def faithful(cls, d: int, M: int) -> "TesterParams":
+        """The full parameter regime: k = M*d, eps1 = (4C 2^{k H(1/M)})^{-40}
+        with the absolute constant C = 1, ell = ceil(log2(2/eps1)),
+        eps0 = eps1/(100 ell).
 
         Requires H(1/M) < 1/20 and k >= 100 log2(2/eps1); rejects M that
         violate either constraint.
@@ -73,7 +74,7 @@ class TesterParams:
         if not h < 1.0 / 20.0:
             raise ValueError(f"H(1/M) = {h:.4f} must be below 1/20; increase M")
         k = M * d
-        eps1 = 1.0 / (4.0 * hyper_constant * 2.0 ** (k * h)) ** 40
+        eps1 = 1.0 / (4.0 * 2.0 ** (k * h)) ** 40
         ell = math.ceil(math.log2(2.0 / eps1))
         if k < 100 * math.log2(2.0 / eps1):
             raise ValueError("k must be at least 100 log2(2/eps1); increase M")

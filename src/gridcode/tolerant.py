@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import CubeFunction, bucket_masks, query_mask
-from .field import PrimeField
+from .cube import CubeFunction, restriction_query_masks
+from .field import PrimeField, binomial_sum
 from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, nearest_codeword
 from .poly import MultilinearPoly
 from .restrict import UniformRestriction
@@ -66,10 +66,11 @@ class TolerantParams:
         delta2,
         k: int | None = None,
         m: int | None = None,
-        intolerant_k: int | None = None,
         intolerant_reps: int = 1,
         replacement: bool = True,
     ) -> "TolerantParams":
+        """Small explicit k and m: k defaults to d + 5, the most ``desk_k``
+        picks, and m to ceil(1/eps^2) + k^d with eps = (delta2 - delta1) / 2."""
         delta1 = Fraction(delta1)
         delta2 = Fraction(delta2)
         eps = (delta2 - delta1) / 2
@@ -79,12 +80,8 @@ class TolerantParams:
             k = d + 5
         if m is None:
             m = math.ceil(1 / float(eps) ** 2) + k**d
-        intolerant = TesterParams.desk(d, intolerant_k)
+        intolerant = TesterParams.desk(d)
         return cls(d, delta1, delta2, k, m, intolerant, intolerant_reps, replacement)
-
-    @property
-    def eps(self) -> Fraction:
-        return (self.delta2 - self.delta1) / 2
 
     @property
     def threshold(self) -> Fraction:
@@ -93,6 +90,18 @@ class TolerantParams:
     @property
     def max_queries(self) -> int:
         return self.intolerant_reps * self.intolerant.queries_per_run + self.m
+
+
+def desk_k(d: int, p: int) -> int:
+    """The default small-cube dimension over F_p: the largest k in
+    (d, d + 5] whose p^C(k,<=d) codewords fit ``CODEWORD_BUDGET``, or d + 5
+    when none does, so that the run raises the budget error."""
+    for k in range(d + 5, d, -1):
+        dimension = binomial_sum(k, d)
+        # p >= 2, so a dimension past the budget's bit length cannot fit
+        if dimension < CODEWORD_BUDGET.bit_length() and p ** dimension <= CODEWORD_BUDGET:
+            return k
+    return d + 5
 
 
 def sample_uniform_restriction(n: int, k: int, rng) -> UniformRestriction:
@@ -170,10 +179,9 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
 
     restriction = sample_uniform_restriction(f.n, params.k, rng)
     sample = sample_query_set(params.k, params.m, rng, params.replacement)
-    buckets = bucket_masks(restriction)
+    points = restriction_query_masks(restriction)
     weights = Counter(sample)
-    masks = [query_mask(restriction, pt, buckets) for pt in weights]
-    values = dict(zip(weights, f.values_at(masks)))
+    values = dict(zip(weights, f.values_at([points[pt] for pt in weights])))
     queries += len(weights)
     code = CodeEnumeration(params.k, params.d, f.field)
     interpolated, mu = _closest_on_points(values, weights, code)

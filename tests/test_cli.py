@@ -7,8 +7,6 @@ import random
 import pytest
 
 from gridcode.cli import COMMON, build_parser, main, thread_count
-from gridcode.cube import CubeFunction, write_truth_table
-from gridcode.field import PrimeField
 from gridcode.restrict import exact_bucket_distribution
 
 
@@ -142,8 +140,7 @@ def test_witness_subcommand_json(tmp_path):
 
 def test_oracle_subcommand_round_trip(tmp_path):
     table = tmp_path / "and.tt"
-    with open(table, "w", encoding="utf-8") as stream:
-        write_truth_table(CubeFunction(2, PrimeField(2), [0, 0, 0, 1]), stream)
+    table.write_text("2 2\n0 0 0 1\n", encoding="utf-8")
     out = run_cli(
         ["oracle", "--n", "2", "--d", "1", "--p", "2", "--in", str(table)],
         tmp_path / "o.json",
@@ -422,6 +419,8 @@ def test_reused_parser_survives_failed_calls(tmp_path, capsys):
          "need r >= k >= 1"),
         (["buckets", "--r", "0", "--k", "0", "--exact", "--process", "cycle"],
          "need r >= k >= 1"),
+        (["span", "--n", "12", "--s", "2", "--t", "1", "--count", "10", "--p", "0"],
+         "modulus must be in [2, 2^31), got 0"),
     ],
 )
 def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, argv, message):
@@ -434,16 +433,29 @@ def test_vacuous_span_and_negative_witness_degree_rejected(tmp_path, capsys, arg
     assert not out.exists()
 
 
-def test_tolerant_degree_two_needs_explicit_k(tmp_path, capsys):
-    base = ["tolerant", "--n", "10", "--d", "2", "--delta1", "1/50", "--delta2", "1/5",
-            "--delta", "1/100", "--trials", "2", "--seed", "1"]
+def test_tolerant_default_k_fits_the_code_budget(tmp_path):
+    # the largest k in (d, d+5] whose p^C(k,<=d) codewords fit 10^7, and the
+    # run is the one that k gives when passed explicitly
+    out, explicit = tmp_path / "t.csv", tmp_path / "k.csv"
+    for d, p, k, m in [(2, 2, 6, 160), (2, 3, 4, 140), (1, 11, 5, 129), (1, 2, 6, 130),
+                       (0, 5, 5, 125)]:
+        base = ["tolerant", "--n", "10", "--d", str(d), "--p", str(p), "--delta1", "1/50",
+                "--delta2", "1/5", "--delta", "1/100", "--trials", "2", "--seed", "1"]
+        assert main(base + ["--out", str(out)]) == 0
+        assert f" k={k} m={m} " in out.read_text().splitlines()[0]
+        assert main(base + ["--k", str(k), "--out", str(explicit)]) == 0
+        assert explicit.read_bytes() == out.read_bytes()
+
+
+def test_tolerant_without_a_fitting_k_keeps_the_budget_error(tmp_path, capsys):
+    # over F_2 at d = 4 even k = 5 has 2^31 codewords, so k stays d + 5 = 9,
+    # whose code has 2^C(9,<=4) = 2^256
     out = tmp_path / "t.csv"
-    assert main(base + ["--out", str(out)]) == 1
+    assert main(["tolerant", "--n", "10", "--d", "4", "--delta1", "1/50", "--delta2", "1/5",
+                 "--delta", "0", "--trials", "2", "--seed", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: code has 536870912 codewords (budget 10000000)\n")
+        f"error: code has {2 ** 256} codewords (budget 10000000)\n")
     assert not out.exists()
-    assert main(base + ["--k", "6", "--out", str(out)]) == 0
-    assert " k=6 m=160 " in out.read_text().splitlines()[0]
 
 
 def test_unwritable_out_path_exits_one(tmp_path, capsys):
@@ -457,8 +469,7 @@ def test_unwritable_out_path_exits_one(tmp_path, capsys):
 
 def test_every_option_is_recorded_in_the_artifact(tmp_path):
     table = tmp_path / "and.tt"
-    with open(table, "w", encoding="utf-8") as stream:
-        write_truth_table(CubeFunction(2, PrimeField(2), [0, 0, 0, 1]), stream)
+    table.write_text("2 2\n0 0 0 1\n", encoding="utf-8")
     argvs = {
         "test": ["--n", "8", "--d", "1", "--delta", "0.1"],
         "decode": ["--n", "8", "--d", "1", "--delta", "0"],

@@ -206,7 +206,7 @@ def test_local_decode_draws_assignment_as_randrange():
             ours, reference = random.Random(seed), random.Random(seed)
             _, log = local_decode(f, seed, params, ours)
             expected = tuple(reference.randrange(2 * params.k) for _ in range(9))
-            assert log.assignment == expected
+            assert (log.target, log.assignment) == (seed, expected)
             assert ours.getstate() == reference.getstate()
 
 

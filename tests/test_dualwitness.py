@@ -77,7 +77,8 @@ def test_build_witness_d0():
     assert len(w.support) == 2
     assert w.weights == (1, 1)
     report = verify_witness(w)
-    assert report.all_ok()
+    assert report.orthogonality and report.window and report.size
+    assert report.one_point_separation
 
 
 @pytest.mark.parametrize("d", [-1, -3])
@@ -92,7 +93,8 @@ def test_build_witness_small_cases():
         assert len(w.support) <= binomial_sum(k, d) + 1
         assert len(w.support) >= d + 2
         report = verify_witness(w)
-        assert report.all_ok(), (k, d, field.p, report)
+        assert report.orthogonality and report.window and report.size, (k, d, field.p, report)
+        assert report.one_point_separation, (k, d, field.p, report)
 
 
 def test_verify_separation_modes():

@@ -9,7 +9,6 @@ from gridcode.field import PrimeField
 from gridcode.lowerbound import (
     ALL_PLUS_ONES,
     HardFunction,
-    SpanInstance,
     coordinate_sum,
     decoder_stress,
     erased_fraction_bound,
@@ -146,12 +145,6 @@ def test_span_exponent_values():
     assert span_exponent(6) == 3  # ln 6 / ln ln 6 = 3.07...
     assert span_exponent(8) == 2  # ln 8 / ln ln 8 = 2.84...
     assert span_exponent(2) == 1
-
-
-def test_span_instance_validates_balance():
-    with pytest.raises(ValueError):
-        SpanInstance(8, 4, (0,))  # all-ones has |sum| = 8 > 2
-    SpanInstance(8, 4, (0b00001111,))
 
 
 def test_sample_balanced_vectors_respects_bound():

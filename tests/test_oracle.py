@@ -57,7 +57,8 @@ def test_enumeration_budget():
 def test_value_matrix_matches_pointwise_evaluation():
     code = CodeEnumeration(3, 2, F3)
     points = [0, 3, 5, 7]
-    matrix = code.value_matrix(points)
+    matrix = np.concatenate([block for _, block in code.iter_value_blocks(points)])
+    assert len(matrix) == code.size
     rng = random.Random(50)
     for _ in range(20):
         index = rng.randrange(code.size)
@@ -123,8 +124,8 @@ def test_nearest_tie_break_is_lexicographic():
     _, nearest = exact_delta_d(f, 1)
     code = CodeEnumeration(2, 1, F2)
     distances = [
-        sum(poly.evaluate_residue(pt) != table[pt] for pt in range(4))
-        for poly in code
+        sum(code.poly_at(index).evaluate_residue(pt) != table[pt] for pt in range(4))
+        for index in range(code.size)
     ]
     first_best = distances.index(min(distances))
     assert code.index_of(nearest) == first_best
@@ -143,7 +144,7 @@ def test_codeword_pairs_respect_minimum_distance():
 
 def test_iterating_code_yields_all_polys():
     code = CodeEnumeration(2, 1, F2)
-    polys = list(code)
+    polys = [code.poly_at(index) for index in range(code.size)]
     assert len(polys) == 8
     assert len({tuple(sorted(p.coeffs.items())) for p in polys}) == 8
 

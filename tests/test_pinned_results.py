@@ -110,7 +110,8 @@ def test_full_cube_exact_delta_pinned():
     # so the digest pins the tie-break too.
     lines = []
     for n, d, p in ((3, 0, 2), (6, 0, 2), (4, 3, 2), (3, 2, 3), (4, 2, 3)):
-        matrix = CodeEnumeration(n, d, PrimeField(p)).value_matrix(range(1 << n))
+        code = CodeEnumeration(n, d, PrimeField(p))
+        matrix = np.concatenate([block for _, block in code.iter_value_blocks(range(1 << n))])
         ties = 0
         for seed in range(5):
             f = CubeFunction.random(n, PrimeField(p), random.Random(100 * n + 10 * d + seed))

@@ -15,7 +15,6 @@ from gridcode.restrict import (
     Restriction,
     RestrictionTranscript,
     UniformRestriction,
-    compose,
     direct_restriction,
     enumerate_cycle_buckets,
     exact_bucket_distribution,
@@ -84,6 +83,21 @@ def test_direct_restriction_explicit_choices():
     # variable 0 (position 0): shift a_0 = 1; variable 1 (position 1):
     # a_1 xor a_0 = 0.
     assert r.shift_mask == 0b01
+
+
+def test_direct_restriction_has_the_sizes_of_the_sizes_sampler():
+    # The full parent-process restriction draws its shift bits and variable
+    # order first and then the parents that sample_buckets_direct_sizes
+    # draws, so from one seed both give the same sorted bucket sizes.
+    for seed in range(50):
+        rng = random.Random(seed)
+        r = sample_restriction_direct(9, 4, rng)
+        sizes_rng = random.Random(seed)
+        for _ in range(9):
+            sizes_rng.getrandbits(1)
+        sizes_rng.shuffle(list(range(9)))
+        assert r.bucket_sizes() == sample_buckets_direct_sizes(9, 4, sizes_rng)
+        assert rng.getstate() == sizes_rng.getstate()
 
 
 def test_exact_distribution_examples():
@@ -187,18 +201,6 @@ def test_direct_query_point_uniform_exhaustive():
                 counts[query_mask(r, y)] += 1
                 total += 1
     assert set(counts.values()) == {total // (1 << n)}
-
-
-def test_compose_matches_sequential_maps():
-    rng = random.Random(9)
-    first = sample_restriction_direct(7, 4, rng)
-    second = sample_restriction_direct(4, 2, rng)
-    combined = compose(first, second)
-    for i in range(7):
-        j = first.var_to_output[i]
-        assert combined.var_to_output[i] == second.var_to_output[j]
-        expected_shift = ((first.shift_mask >> i) & 1) ^ ((second.shift_mask >> j) & 1)
-        assert ((combined.shift_mask >> i) & 1) == expected_shift
 
 
 @pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))

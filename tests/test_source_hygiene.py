@@ -1,24 +1,136 @@
 """Static checks on the package source: no module-level import goes unused,
-every name that ``gridcode.__all__`` exports exists, every module-level
-function and class and every class member is read somewhere, and every
-runtime dependency is imported."""
+every runtime dependency is imported, and every definition is reached from
+the command line or the benchmark, or listed below with the test that
+keeps it.
+
+Reachability is a closure over names.  Its roots are the console script's
+function, every name that a file under ``bench/`` reads, and every
+module-level statement of the package other than imports and definitions.
+A reached definition reaches each module-level function or class whose name
+it reads (as a name, an attribute, an imported name or a string) and each
+class member whose name it reads as an attribute or a string.  A class
+reaches its own body but not its members.  Tests are not readers, so a
+helper that only tests call stays only if it is listed: in ``REFERENCES``
+when it is a slow, plain version of a fast path that a test compares with
+it, in ``PAPER_ARTIFACTS`` when a test reproduces a claim of the paper with
+it.  Listed definitions are roots too (a listed class with its members), so
+what they use is reached; a listed name that the roots reach without the
+tables must be delisted."""
 
 import ast
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import gridcode
 
-SOURCES = sorted(Path(gridcode.__file__).parent.glob("*.py"))
+PACKAGE = Path(gridcode.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
-READERS = sorted(p for folder in ("src", "tests", "bench") for p in (ROOT / folder).rglob("*.py"))
+TESTS = Path(__file__).resolve().parent
+
+
+def _readers(root: Path) -> list[Path]:
+    """The files whose reads count: ``src/`` and ``bench/``, never tests."""
+    return sorted(p for folder in ("src", "bench") for p in (root / folder).rglob("*.py"))
+
+
+READERS = _readers(ROOT)
+
+# name -> (the fast path it checks, the test that compares them)
+_RECURSIVE_LOG = ("the merge log replayed through identify_variables against "
+                  "sample_restriction_recursive's one reverse pass")
+REFERENCES = {
+    "apply_restriction": (
+        "run_test_once's table read through restriction_query_masks",
+        "test_tester.py::test_restricted_function_matches_polynomial_restriction"),
+    "query_mask": (
+        "restriction_query_masks, one point at a time",
+        "test_cube.py::test_restriction_query_masks_match_pointwise"),
+    "decode_from_ball": (
+        "local_decode's sum over the zero-tail answers",
+        "test_values_at.py::test_decoder_runs_alike_on_table_and_oracle"),
+    "direct_restriction": (
+        "sample_buckets_direct_sizes, as the whole restriction",
+        "test_restrict.py::test_direct_restriction_has_the_sizes_of_the_sizes_sampler"),
+    "sample_restriction_direct": (
+        "sample_buckets_direct_sizes, from the same seed",
+        "test_restrict.py::test_direct_restriction_has_the_sizes_of_the_sizes_sampler"),
+    "identify_variables": (
+        "sample_restriction_recursive's one reverse pass over the merge steps",
+        "test_tester.py::test_identification_chain_agrees_with_table_restriction"),
+    "MultilinearPoly.evaluate_residue": (
+        "MultilinearPoly.truth_table and PolyPoints.values_at",
+        "test_values_at.py::test_point_terms_agree_with_truth_table"),
+    "CodeEnumeration.index_of": (
+        "the tie-break of nearest_codeword",
+        "test_oracle.py::test_nearest_tie_break_is_lexicographic"),
+    "closest_poly_on_set": (
+        "tolerant_test's weighted nearest codeword on the sampled points",
+        "test_tolerant.py::test_tolerant_report_matches_the_table_reference"),
+    # Fields of the per-trial records that the fast paths fill and only the
+    # tests read, to check those paths against a plain re-derivation.
+    **{name: (_RECURSIVE_LOG,
+              "test_tester.py::test_identification_chain_agrees_with_table_restriction")
+       for name in ("IdentificationStep.kept", "IdentificationStep.removed",
+                    "IdentificationStep.flip", "RestrictionTranscript.steps",
+                    "RestrictionTranscript.bijection", "RestrictionTranscript.final_shift",
+                    "TestTranscript.identification_log", "TestTranscript.restricted")},
+    "RestrictionTranscript.survivors": (
+        "sample_restriction_recursive's phi on the surviving variables",
+        "test_restrict.py::test_recursive_transcript_consistent_with_restriction"),
+    "TestTranscript.restriction": (
+        "run_test_once's table read through restriction_query_masks",
+        "test_tester.py::test_restricted_function_matches_polynomial_restriction"),
+    "QueryLog.target": (
+        "local_decode's random assignment, against randrange(2k) per variable",
+        "test_decoder.py::test_local_decode_draws_assignment_as_randrange"),
+    "QueryLog.assignment": (
+        "local_decode's random assignment, against randrange(2k) per variable",
+        "test_decoder.py::test_local_decode_draws_assignment_as_randrange"),
+}
+
+_FAITHFUL = "the tester's theoretical regime: k = M d, eps1, ell and eps0, and its constraints"
+_HARD = "decoding over large characteristic fails against erased linear functions"
+# name -> (the paper claim it reproduces, the test that reproduces it)
+PAPER_ARTIFACTS = {
+    **{name: (_FAITHFUL, "test_tester.py::test_faithful_params_constraints")
+       for name in ("TesterParams.faithful", "TesterParams.M", "TesterParams.eps1",
+                    "TesterParams.eps0", "TesterParams.ell")},
+    "DecoderParams.tolerance": (
+        "the local decoder succeeds with probability 3/4 up to corruption 1/(4 C(2k,k))",
+        "test_acceptance.py::test_a06_decoder_success_rate"),
+    "HardFunction": (_HARD, "test_lowerbound.py::test_hard_function_erasure_bound_exact_count"),
+    "sample_hard_function": (_HARD, "test_pinned_results.py::test_hard_functions_pinned"),
+    "decoder_stress": (
+        _HARD, "test_lowerbound.py::test_decoder_stress_erased_queries_carry_no_information"),
+    "StressReport": (
+        _HARD, "test_lowerbound.py::test_decoder_stress_erased_queries_carry_no_information"),
+    "erased_fraction_bound": (
+        "the erased inputs are at most a 2 exp(-n / (2 s^2)) fraction",
+        "test_lowerbound.py::test_hard_function_erasure_bound_exact_count"),
+    "span_exponent": (
+        "the query scale ln s / ln ln s of the span lower bound",
+        "test_acceptance.py::test_a08_balanced_span_impossibility"),
+    "asymptotic_window": (
+        "the dual witness's distance window [k/4, 3k/4]",
+        "test_dualwitness.py::test_greedy_capacity_meets_ball_bound"),
+    "min_bucket_tail": (
+        "every bucket reaches size r/(4k) with positive probability",
+        "test_restrict.py::test_min_bucket_tail_positive_and_stable"),
+    "restricted_min_distance": (
+        "the code keeps its distance on a random sample of the small cube",
+        "test_acceptance.py::test_a09_restricted_code_distance"),
+}
+
+LISTED = {**REFERENCES, **PAPER_ARTIFACTS}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by the module's top-level imports that the module never
-    reads (``__all__`` entries count as reads, for re-exports)."""
+    reads."""
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -26,11 +138,6 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
     return [name for name in bound if name not in used]
 
 
@@ -39,51 +146,22 @@ def test_module_level_imports_are_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
-def test_all_names_resolve():
-    assert len(set(gridcode.__all__)) == len(gridcode.__all__)
-    assert [name for name in gridcode.__all__ if not hasattr(gridcode, name)] == []
-
-
-def _reads(tree: ast.Module, members: bool = False) -> list[tuple[str, int]]:
-    """(name, line) of every name the module reads: loaded names, attributes,
-    imported names and string constants (``__all__`` entries, names looked
-    up by string).  A class member is read only through an attribute or a
-    string, so with ``members`` the loaded and imported names are left out."""
-    out = []
-    for node in ast.walk(tree):
+def _reads(nodes) -> tuple[set[str], set[str]]:
+    """(every name the nodes read, the names they read as an attribute or a
+    string).  Loaded and imported names are the first kind only, since a
+    class member is read only through an attribute or a string; a dotted
+    string such as "Class.method" reads each of its parts."""
+    names, attributes = set(), set()
+    for node in (n for root in nodes for n in ast.walk(root)):
         if isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.value, node.lineno))
-        elif members:
-            continue
+            attributes |= {node.value, *node.value.split(".")}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno))
+            names.add(node.id)
         elif isinstance(node, ast.ImportFrom):
-            out += [(a.name, node.lineno) for a in node.names]
-    return out
-
-
-def _unread(definitions, members: bool = False) -> list[str]:
-    """Labels of the (path, label, name, node) definitions whose name nothing
-    in ``READERS`` reads outside the definition itself."""
-    reads = {path: _reads(ast.parse(path.read_text()), members) for path in READERS}
-    unread = []
-    for path, label, name, node in definitions:
-        span = range(node.lineno, node.end_lineno + 1)
-        if not any(read == name and (where != path or line not in span)
-                   for where in READERS for read, line in reads[where]):
-            unread.append(f"{path.name}:{label}")
-    return unread
-
-
-def test_module_level_definitions_are_read():
-    assert _unread(
-        (path, node.name, node.name, node)
-        for path in SOURCES
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    ) == []
+            names |= {a.name for a in node.names}
+    return names | attributes, attributes
 
 
 def _members(cls: ast.ClassDef):
@@ -100,14 +178,134 @@ def _members(cls: ast.ClassDef):
             yield name, node
 
 
+class _Definition:
+    """A module-level function or class, or a class member, with what it
+    reads once reached."""
+
+    def __init__(self, path: Path, qualname: str, member: bool, body):
+        self.label = f"{path.name}:{qualname}"
+        self.qualname = qualname
+        self.name = qualname.rpartition(".")[2]
+        self.member = member
+        self.reads = _reads(body)
+
+
+def _definitions_and_roots(readers, package: Path):
+    """The definitions of the package's modules among ``readers``, and the
+    reads of everything else the readers hold."""
+    definitions, roots = [], []
+    for path in readers:
+        tree = ast.parse(path.read_text())
+        if path.parent != package:
+            roots.append(tree)
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append(_Definition(path, node.name, False, [node]))
+            elif isinstance(node, ast.ClassDef):
+                members = list(_members(node))
+                kept = {id(m) for _, m in members}
+                body = [*node.decorator_list, *node.bases, *node.keywords,
+                        *(b for b in node.body if id(b) not in kept)]
+                definitions.append(_Definition(path, node.name, False, body))
+                definitions += [_Definition(path, f"{node.name}.{name}", True, [m])
+                                for name, m in members]
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    return definitions, _reads(roots)
+
+
+def _reached(definitions, roots, entry_points, listed) -> set[str]:
+    """Labels of the definitions that the roots, the entry points and the
+    listed qualified names reach; a listed class brings its members."""
+    names, attributes = set(roots[0]) | set(entry_points), set(roots[1])
+    reached = set()
+
+    def reach(definition):
+        reached.add(definition.label)
+        names.update(definition.reads[0])
+        attributes.update(definition.reads[1])
+
+    for definition in definitions:
+        if definition.qualname in listed or (
+                definition.member and definition.qualname.partition(".")[0] in listed):
+            reach(definition)
+    grown = True
+    while grown:
+        grown = False
+        for definition in definitions:
+            if definition.label not in reached and definition.name in (
+                    attributes if definition.member else names):
+                reach(definition)
+                grown = True
+    return reached
+
+
+def _entry_points(root: Path) -> list[str]:
+    """Function names of the console scripts in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    return [target.rpartition(":")[2] for target in scripts.values()]
+
+
+def _unreached(readers, package: Path, entry_points, listed=()) -> list[str]:
+    """Labels of the package's definitions that nothing reaches."""
+    definitions, roots = _definitions_and_roots(readers, package)
+    reached = _reached(definitions, roots, entry_points, set(listed))
+    return [d.label for d in definitions if d.label not in reached]
+
+
+def test_module_level_definitions_are_read():
+    unreached = _unreached(READERS, PACKAGE, _entry_points(ROOT), LISTED)
+    assert [label for label in unreached if "." not in label.partition(":")[2]] == []
+
+
 def test_class_members_are_read():
-    assert _unread((
-        (path, f"{cls.name}.{name}", name, node)
-        for path in SOURCES
-        for cls in ast.parse(path.read_text()).body
-        if isinstance(cls, ast.ClassDef)
-        for name, node in _members(cls)
-    ), members=True) == []
+    unreached = _unreached(READERS, PACKAGE, _entry_points(ROOT), LISTED)
+    assert [label for label in unreached if "." in label.partition(":")[2]] == []
+
+
+def test_listed_names_are_reached_only_through_the_tables():
+    definitions, roots = _definitions_and_roots(READERS, PACKAGE)
+    qualnames = {d.qualname for d in definitions}
+    assert sorted(set(LISTED) - qualnames) == []
+    assert len(LISTED) == len(REFERENCES) + len(PAPER_ARTIFACTS)
+    reached = _reached(definitions, roots, _entry_points(ROOT), set())
+    assert sorted(d.qualname for d in definitions
+                  if d.qualname in LISTED and d.label in reached) == []
+
+
+@pytest.mark.parametrize("name", sorted(LISTED))
+def test_listed_test_exists(name):
+    file, _, test = LISTED[name][1].partition("::")
+    tree = ast.parse((TESTS / file).read_text())
+    assert test in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_checker_reports_a_helper_that_only_a_test_reads(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(textwrap.dedent("""\
+        def main():
+            return _used()
+
+
+        def _used():
+            return 1
+
+
+        def only_tested():
+            return 2
+        """))
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import only_tested\n\n\ndef test_it():\n    assert only_tested() == 2\n")
+    readers = _readers(tmp_path)
+    assert _unreached(readers, package, ["main"]) == ["mod.py:only_tested"]
+    assert _unreached(readers, package, ["main"], ["only_tested"]) == []
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("from pkg.mod import only_tested\n")
+    assert _unreached(_readers(tmp_path), package, ["main"]) == []
 
 
 def test_runtime_dependencies_are_imported():

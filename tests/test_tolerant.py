@@ -10,6 +10,7 @@ from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode.oracle import CodeEnumeration, _min_disagreement, exact_delta_d
 from gridcode.poly import from_truth_table, random_poly
+from gridcode.tester import amplified_test
 from gridcode.tolerant import (
     TolerantParams,
     _closest_on_points,
@@ -155,7 +156,7 @@ def test_tolerant_params_validation():
     with pytest.raises(ValueError):
         TolerantParams.desk(2, Fraction(1, 100), Fraction(1, 10), k=2, m=10)
     params = TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10))
-    assert params.eps == Fraction(9, 100)
+    assert params.m == 124 + 6  # ceil(1/eps^2) + k^d with eps = 9/100 and k = 6
     assert params.threshold == Fraction(11, 100)
 
 
@@ -187,7 +188,7 @@ def test_restricted_min_distance_matches_int64_product():
             sample = [rng.randrange(1 << k) for _ in range(m)]
             points = sorted(set(sample))
             weights = np.asarray([sample.count(pt) for pt in points], dtype=np.int64)
-            values = code.value_matrix(points)
+            values = np.concatenate([block for _, block in code.iter_value_blocks(points)])
             counts = (values[1:] != 0).astype(np.int64) @ weights
             expected = Fraction(int(counts.min()), m)
             assert restricted_min_distance(k, d, field, sample) == expected
@@ -239,6 +240,31 @@ def test_interpolation_matches_global_closest_when_distance_allows():
             assert h == expected
             checked += 1
     assert checked >= 10
+
+
+def test_tolerant_report_matches_the_table_reference():
+    # Replaying the tolerant test's random calls, restricting the whole table
+    # with apply_restriction and taking closest_poly_on_set on the sample
+    # gives the interpolant and mu that tolerant_test reads through the
+    # restriction's query masks.
+    rng = random.Random(15)
+    params = TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10), k=5, m=60)
+    checked = 0
+    for _ in range(12):
+        f = corrupt(random_poly(10, 1, F3, rng).truth_table(), Fraction(1, 50), rng)
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        report = tolerant_test(f, params, rng)
+        if amplified_test(f, params.intolerant, params.intolerant_reps, replay):
+            r = sample_uniform_restriction(10, params.k, replay)
+            sample = sample_query_set(params.k, params.m, replay, params.replacement)
+            h, mu = closest_poly_on_set(apply_restriction(f, r), sample, params.d)
+            assert (report.interpolated, report.mu) == (h, mu)
+            checked += 1
+        else:
+            assert report.mu is None
+        assert replay.getstate() == rng.getstate()
+    assert checked >= 4
 
 
 @pytest.mark.parametrize(

@@ -136,7 +136,7 @@ def test_decoder_runs_alike_on_table_and_oracle(n, d, p, mode, delta):
 @pytest.mark.parametrize("delta", (Fraction(0), Fraction(1, 100), Fraction(1, 4)))
 def test_tolerant_runs_alike_on_table_and_oracle(n, d, p, delta):
     params = TolerantParams.desk(d, Fraction(1, 50), Fraction(1, 5), k=5 if d == 1 else 3,
-                                 m=40, intolerant_k=d + 1)
+                                 m=40)
     table, rng_table, oracle, rng_oracle = _pair(n, d, p, delta, 13)
     for _ in range(8):
         assert tolerant_test(table, params, rng_table) == tolerant_test(oracle, params, rng_oracle)
