@@ -109,12 +109,10 @@ def decode_from_ball(values: dict, params: DecoderParams) -> int:
 
 @dataclass(frozen=True)
 class QueryLog:
-    """Which oracle points one decoding call touched."""
+    """Which oracle points one decoding call touched: a (y mask over the 2k
+    variables, oracle mask) pair per query, in the ascending order of y."""
 
-    mode: str
-    target: int
-    assignment: tuple[int, ...]  # variable -> output index in [2k]
-    queries: tuple[tuple[int, int], ...]  # (y mask over 2k vars, oracle mask)
+    queries: tuple[tuple[int, int], ...]
 
     @property
     def query_count(self) -> int:
@@ -160,12 +158,11 @@ def local_decode(
         raise ValueError(f"unknown mode {mode!r}")
     width = 2 * params.k
     randbelow = rng._randbelow  # the call randrange(width) makes
-    assignment = tuple([randbelow(width) for _ in range(f.n)])
     points, bits, needed = _query_plan(params.k, params.d, mode)
     # z(y) is x xored with the variables assigned to the set bits of y.
     buckets = [0] * width
-    for j, out in enumerate(assignment):
-        buckets[out] |= 1 << j
+    for j in range(f.n):
+        buckets[randbelow(width)] |= 1 << j
     masks = []
     for outs in bits:
         z = x
@@ -174,5 +171,4 @@ def local_decode(
         masks.append(z)
     answers = f.values_at(masks)
     value = FieldElement(sum(answers[i] for i in needed) % params.field.p, params.field)
-    log = QueryLog(mode, x, assignment, tuple(zip(points, masks)))
-    return value, log
+    return value, QueryLog(tuple(zip(points, masks)))

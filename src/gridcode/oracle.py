@@ -34,6 +34,7 @@ silent approximations; the budget check precedes every plan.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,13 +42,19 @@ import numpy as np
 
 from .cube import CubeFunction
 from .errors import BudgetExceededError
-from .field import PrimeField
+from .field import PrimeField, binomial_sum
 from .poly import MultilinearPoly, _monomials
 
 # Default number of codewords p^C(k,<=d) an oracle call may enumerate.
 CODEWORD_BUDGET = 10**7
 
 _BLOCK_ROWS = 1 << 13
+
+
+def code_fits(p: int, dimension: int, budget: int) -> bool:
+    """Whether p^dimension codewords fit ``budget``; p >= 2, so a dimension
+    past the budget's bit length cannot fit and its power is never built."""
+    return dimension < budget.bit_length() and p ** dimension <= budget
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -91,15 +98,19 @@ class CodeEnumeration:
         self.k = k
         self.d = d
         self.field = field
-        self.monomials = _monomials(k, d)
-        self.dimension = len(self.monomials)
-        self.size = field.p ** self.dimension
-        if self.size > budget:
+        self.dimension = binomial_sum(k, d)
+        p = field.p
+        if not code_fits(p, self.dimension, budget):
+            # Python prints no int past 4,300 digits: name a count past 10^100 as a power
+            required = p ** self.dimension if self.dimension * math.log10(p) <= 100 else None
+            count = f"{p}^{self.dimension}" if required is None else required
             raise BudgetExceededError(
-                f"code has {self.size} codewords (budget {budget})",
-                required=self.size,
+                f"code has {count} codewords (budget {budget})",
+                required=required,
                 budget=budget,
             )
+        self.monomials = _monomials(k, d)
+        self.size = p ** self.dimension
 
     def coefficient_vector(self, index: int) -> tuple[int, ...]:
         """Base-p digits of the index, first monomial most significant."""

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -87,40 +85,22 @@ class UniformRestriction(Restriction):
     require_full_buckets = False
 
 
-class IdentificationStep(NamedTuple):
-    """One merge round: the removed variable is replaced by flip xor kept."""
-
-    kept: int
-    removed: int
-    flip: int
-
-
-@dataclass(frozen=True)
-class RestrictionTranscript:
-    """Full record of one run of the recursive sampler."""
-
-    steps: tuple[IdentificationStep, ...]
-    survivors: tuple[int, ...]
-    bijection: dict  # survivor variable -> output index
-    final_shift: dict  # survivor variable -> complement bit
-
-
-def sample_restriction_recursive(n: int, k: int, rng):
+def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
     """Sample a restriction by n-k random pairwise identifications.
 
     Each round picks distinct surviving variables (kept, removed) and a bit,
     substituting x_removed := bit xor x_kept.  A uniform bijection onto the
-    outputs and a uniform complement per survivor finish the job.  Returns
-    (restriction, transcript).  The random calls are those of
-    ``rng.sample(survivors, 2)`` and ``rng.getrandbits(1)`` per round, then
-    ``rng.shuffle`` of the outputs and one ``getrandbits(1)`` per survivor.
+    outputs and a uniform complement per survivor finish the job.  The random
+    calls are those of ``rng.sample(survivors, 2)`` and ``rng.getrandbits(1)``
+    per round, then ``rng.shuffle`` of the outputs and one ``getrandbits(1)``
+    per survivor.
     """
     if not n > k >= 1:
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
     randbelow = rng._randbelow
     getrandbits = rng.getrandbits
     survivors = list(range(n))
-    steps = []
+    steps = []  # (kept, removed, flip) per round
     for m in range(n, k, -1):
         # The positions rng.sample(survivors, 2) picks, from the same
         # randbelow calls as CPython's Random.sample: up to 21 elements it
@@ -136,30 +116,22 @@ def sample_restriction_recursive(n: int, k: int, rng):
             while j == i:
                 j = randbelow(m)
         kept = survivors[i]
-        steps.append(IdentificationStep(kept, survivors.pop(j), getrandbits(1)))
+        steps.append((kept, survivors.pop(j), getrandbits(1)))
 
     targets = list(range(k))
     rng.shuffle(targets)
-    bijection = dict(zip(survivors, targets))
-    final_shift = {s: getrandbits(1) for s in survivors}
-
+    phi = [0] * n
+    shift = 0
+    for s, t in zip(survivors, targets):
+        phi[s] = t
+        shift |= getrandbits(1) << s
     # A removed variable maps where its kept partner maps, with the step's
     # flip added; the partner was removed later if at all, so undoing the
     # steps last to first resolves it first.
-    phi = [0] * n
-    bits = [0] * n
-    shift = 0
-    for s, t in bijection.items():
-        phi[s] = t
-        bits[s] = bit = final_shift[s]
-        shift |= bit << s
     for kept, removed, flip in reversed(steps):
         phi[removed] = phi[kept]
-        bits[removed] = bit = bits[kept] ^ flip
-        shift |= bit << removed
-    restriction = Restriction(n, k, phi, shift)
-    transcript = RestrictionTranscript(tuple(steps), tuple(survivors), bijection, final_shift)
-    return restriction, transcript
+        shift |= (((shift >> kept) & 1) ^ flip) << removed
+    return Restriction(n, k, phi, shift)
 
 
 def direct_restriction(n: int, k: int, shift_bits, perm, parents) -> Restriction:
@@ -328,7 +300,7 @@ def _recursive_bucket_sizes(r: int, k: int, rng) -> tuple[int, ...]:
     _check_buckets(r, k)
     if r == k:
         return (1,) * k
-    return sample_restriction_recursive(r, k, rng)[0].bucket_sizes()
+    return sample_restriction_recursive(r, k, rng).bucket_sizes()
 
 
 # Each bucket process by its ``--process`` name: (sorted-size sampler

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .cube import CubeFunction, restriction_query_masks
 from .poly import from_truth_table
 from .rand import derive_rng
-from .restrict import Restriction, RestrictionTranscript, sample_restriction_recursive
+from .restrict import sample_restriction_recursive
 
 
 def entropy(x: float) -> float:
@@ -95,13 +95,12 @@ class TesterParams:
 
 @dataclass(frozen=True)
 class TestTranscript:
-    """Everything a single run did: the sampled restriction with its merge
-    log, the 2^k query masks, the restricted table and the verdict."""
+    """What a single run read and decided: the 2^k query masks, indexed by
+    the point y of the small cube, and the verdict.  The masks determine the
+    restriction: ``query_masks[0]`` is its shift mask, and
+    ``query_masks[1 << j] ^ query_masks[0]`` is the mask of bucket j."""
 
-    restriction: Restriction
-    identification_log: RestrictionTranscript
     query_masks: tuple[int, ...]
-    restricted: CubeFunction
     accepted: bool
 
     @property
@@ -114,11 +113,10 @@ def run_test_once(f: CubeFunction, params: TesterParams, rng) -> TestTranscript:
     table (exactly 2^k oracle queries) and check its degree exactly."""
     if f.n <= params.k:
         raise ValueError(f"need n > k, got n={f.n}, k={params.k}")
-    restriction, log = sample_restriction_recursive(f.n, params.k, rng)
-    masks = restriction_query_masks(restriction)
+    masks = restriction_query_masks(sample_restriction_recursive(f.n, params.k, rng))
     restricted = CubeFunction(params.k, f.field, f.values_at(masks))
     accepted = from_truth_table(restricted).degree() <= params.d
-    return TestTranscript(restriction, log, tuple(masks), restricted, accepted)
+    return TestTranscript(tuple(masks), accepted)
 
 
 def amplified_test(f: CubeFunction, params: TesterParams, t: int, rng) -> bool:

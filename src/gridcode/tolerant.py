@@ -23,7 +23,7 @@ import numpy as np
 
 from .cube import CubeFunction, restriction_query_masks
 from .field import PrimeField, binomial_sum
-from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, nearest_codeword
+from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, code_fits, nearest_codeword
 from .poly import MultilinearPoly
 from .restrict import UniformRestriction
 from .tester import TesterParams, amplified_test
@@ -97,9 +97,7 @@ def desk_k(d: int, p: int) -> int:
     (d, d + 5] whose p^C(k,<=d) codewords fit ``CODEWORD_BUDGET``, or d + 5
     when none does, so that the run raises the budget error."""
     for k in range(d + 5, d, -1):
-        dimension = binomial_sum(k, d)
-        # p >= 2, so a dimension past the budget's bit length cannot fit
-        if dimension < CODEWORD_BUDGET.bit_length() and p ** dimension <= CODEWORD_BUDGET:
+        if code_fits(p, binomial_sum(k, d), CODEWORD_BUDGET):
             return k
     return d + 5
 
@@ -163,7 +161,6 @@ class TolerantReport:
     accepted: bool
     intolerant_accepted: bool
     mu: Fraction | None
-    threshold: Fraction
     queries_used: int
     interpolated: MultilinearPoly | None
 
@@ -175,19 +172,20 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
         raise ValueError(f"need n > k, got n={f.n}, k={params.k}")
     queries = params.intolerant_reps * params.intolerant.queries_per_run
     if not amplified_test(f, params.intolerant, params.intolerant_reps, rng):
-        return TolerantReport(False, False, None, params.threshold, queries, None)
+        return TolerantReport(False, False, None, queries, None)
 
+    # The budget check comes first: past it the default m can be too large to draw.
+    code = CodeEnumeration(params.k, params.d, f.field)
     restriction = sample_uniform_restriction(f.n, params.k, rng)
     sample = sample_query_set(params.k, params.m, rng, params.replacement)
     points = restriction_query_masks(restriction)
     weights = Counter(sample)
     values = dict(zip(weights, f.values_at([points[pt] for pt in weights])))
     queries += len(weights)
-    code = CodeEnumeration(params.k, params.d, f.field)
     interpolated, mu = _closest_on_points(values, weights, code)
     assert queries <= params.max_queries
     accepted = mu < params.threshold
-    return TolerantReport(accepted, True, mu, params.threshold, queries, interpolated)
+    return TolerantReport(accepted, True, mu, queries, interpolated)
 
 
 def restricted_min_distance(k: int, d: int, field: PrimeField, sample) -> Fraction:

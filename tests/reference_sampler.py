@@ -1,0 +1,39 @@
+"""The recursive bucket-process sampler written plainly, shared by the tests:
+the reference for the random calls and the output of
+``restrict.sample_restriction_recursive``, and the only source of its merge
+steps."""
+
+from __future__ import annotations
+
+from gridcode.restrict import Restriction
+
+
+def reference_recursive(n, k, rng):
+    """The recursive sampler with ``rng.sample`` per round and an alias chase
+    per variable.  Returns (restriction, steps, bijection, final_shift): the
+    (kept, removed, flip) tuple of each round, the output index of each
+    survivor and the final complement bit of each survivor."""
+    survivors = list(range(n))
+    alias = {}
+    steps = []
+    while len(survivors) > k:
+        kept, removed = rng.sample(survivors, 2)
+        flip = rng.getrandbits(1)
+        alias[removed] = (kept, flip)
+        survivors.remove(removed)
+        steps.append((kept, removed, flip))
+    targets = list(range(k))
+    rng.shuffle(targets)
+    bijection = dict(zip(survivors, targets))
+    final_shift = {s: rng.getrandbits(1) for s in survivors}
+    phi = [0] * n
+    shift = 0
+    for i in range(n):
+        root, flip = i, 0
+        while root in alias:
+            root, f = alias[root]
+            flip ^= f
+        phi[i] = bijection[root]
+        if flip ^ final_shift[root]:
+            shift |= 1 << i
+    return Restriction(n, k, phi, shift), steps, bijection, final_shift

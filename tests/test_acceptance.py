@@ -97,8 +97,7 @@ def test_a03_tester_descriptions_equivalent():
     samples = 10**5
     recursive_counts = Counter()
     for _ in range(samples):
-        restriction, _ = sample_restriction_recursive(12, 4, rng)
-        recursive_counts[restriction.bucket_sizes()] += 1
+        recursive_counts[sample_restriction_recursive(12, 4, rng).bucket_sizes()] += 1
     direct_counts = Counter()
     for _ in range(samples):
         direct_counts[sample_buckets_direct_sizes(12, 4, rng)] += 1

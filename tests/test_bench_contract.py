@@ -1,5 +1,6 @@
-"""The benchmark's traced contract: every workload passes its own checks, and
-one traced pass finds every layer entry point and yields every per-layer
+"""The benchmark's traced contract: every workload passes its own checks,
+including the verification jobs it runs after the timed passes, and one
+traced pass finds every layer entry point and yields every per-layer
 metric that BENCHMARK.json names.  A refactor that renames an entry point the
 tracer finds by name, or stops calling it, fails here instead of silently
 dropping metrics from the benchmark's result line."""
@@ -42,6 +43,9 @@ def test_traced_pass_yields_every_layer_metric(workload, tmp_path):
         metrics = spans.metrics(mark)
     finally:
         spans.uninstall()
+    for job in plan.verify:
+        _, bad = job.check(job.run())
+        failures += bad
     assert spans.missing == []
     assert failures == []
     assert [name for name in LAYER_METRICS if name not in metrics] == []

@@ -3,9 +3,13 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridcode
 from gridcode.cli import COMMON, build_parser, main, thread_count
 from gridcode.restrict import exact_bucket_distribution
 
@@ -455,6 +459,24 @@ def test_tolerant_without_a_fitting_k_keeps_the_budget_error(tmp_path, capsys):
                  "--delta", "0", "--trials", "2", "--seed", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: code has {2 ** 256} codewords (budget 10000000)\n")
+    assert not out.exists()
+
+
+def test_tolerant_past_the_budget_fails_before_drawing_its_sample(tmp_path):
+    # k = d + 5 = 17 has 3^C(17,<=12) = 3^127858 codewords, and the default m
+    # is about 5.8e14 points: the budget check must come before the sample.
+    # A child process, so that a run that does draw it is killed at 10 s.
+    out = tmp_path / "t.csv"
+    src = str(Path(gridcode.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from gridcode.cli import main; sys.exit(main())",
+         "tolerant", "--n", "20", "--d", "12", "--p", "3", "--delta1", "0", "--delta2", "1/5",
+         "--delta", "0", "--trials", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert run.returncode == 1
+    assert run.stderr == "error: code has 3^127858 codewords (budget 10000000)\n"
     assert not out.exists()
 
 

@@ -198,15 +198,20 @@ def test_local_decode_query_counts_by_mode():
 
 
 def test_local_decode_draws_assignment_as_randrange():
-    # The assignment must come from the calls of randrange(2k) per variable.
+    # The assignment must come from the calls of randrange(2k) per variable:
+    # the query for y reads the target xored with every variable whose
+    # output is a set bit of y.
     for p, d in ((2, 1), (3, 2), (2, 3)):
         params = DecoderParams.for_degree(p, d)
         f = random_poly(9, d, PrimeField(p), random.Random(p * d)).truth_table()
         for seed in range(50):
             ours, reference = random.Random(seed), random.Random(seed)
             _, log = local_decode(f, seed, params, ours)
-            expected = tuple(reference.randrange(2 * params.k) for _ in range(9))
-            assert (log.target, log.assignment) == (seed, expected)
+            assignment = [reference.randrange(2 * params.k) for _ in range(9)]
+            expected = tuple(
+                (y, seed ^ sum(1 << j for j, out in enumerate(assignment) if y >> out & 1))
+                for y in balanced_set(params.k))
+            assert log.queries == expected
             assert ours.getstate() == reference.getstate()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -376,3 +377,16 @@ def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
     with pytest.raises(BudgetExceededError) as exc:
         closest_poly_on_set(CubeFunction.constant(k, field), [0, 0, 0], d)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k, d", [(16, 12), (25, 20)])
+def test_budget_guard_names_a_count_too_large_to_print(k, d):
+    # 3^C(16,<=12) = 3^64839 codewords has more digits than Python formats;
+    # the check must come before the monomials and the count are built
+    dimension = sum(math.comb(k, i) for i in range(d + 1))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        CodeEnumeration(k, d, F3)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == f"code has 3^{dimension} codewords (budget 10000000)"
+    assert exc.value.required is None

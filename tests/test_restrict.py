@@ -11,9 +11,7 @@ from gridcode.field import PrimeField
 from gridcode.poly import random_poly
 from gridcode.restrict import (
     BUCKET_PROCESSES,
-    IdentificationStep,
     Restriction,
-    RestrictionTranscript,
     UniformRestriction,
     direct_restriction,
     enumerate_cycle_buckets,
@@ -25,6 +23,7 @@ from gridcode.restrict import (
     sample_restriction_recursive,
 )
 from gridcode.tester import TesterParams, run_test_once
+from reference_sampler import reference_recursive
 from stats_util import chi_square_goodness_of_fit, chi_square_homogeneity
 
 
@@ -40,26 +39,16 @@ def test_recursive_needs_strict_reduction():
 
 
 def test_recursive_single_round():
-    r, transcript = sample_restriction_recursive(3, 2, random.Random(1))
-    assert len(transcript.steps) == 1
+    r = sample_restriction_recursive(3, 2, random.Random(1))
     assert r.bucket_sizes() == (1, 2)
 
 
 def test_recursive_deterministic_and_valid():
     for seed in range(20):
-        a, _ = sample_restriction_recursive(8, 3, random.Random(seed))
-        b, _ = sample_restriction_recursive(8, 3, random.Random(seed))
+        a = sample_restriction_recursive(8, 3, random.Random(seed))
+        b = sample_restriction_recursive(8, 3, random.Random(seed))
         assert a == b
         assert all(a.buckets())  # every output variable has a preimage
-
-
-def test_recursive_transcript_consistent_with_restriction():
-    r, transcript = sample_restriction_recursive(7, 3, random.Random(2))
-    removed = {step.removed for step in transcript.steps}
-    assert removed.isdisjoint(transcript.survivors)
-    assert sorted(transcript.bijection.values()) == [0, 1, 2]
-    for survivor in transcript.survivors:
-        assert r.var_to_output[survivor] == transcript.bijection[survivor]
 
 
 def test_direct_single_round_shape():
@@ -128,7 +117,7 @@ def test_processes_agree_statistically():
     n, k, samples = 8, 3, 20000
     rec = Counter()
     for _ in range(samples):
-        r, _ = sample_restriction_recursive(n, k, rng)
+        r = sample_restriction_recursive(n, k, rng)
         rec[r.bucket_sizes()] += 1
     dire = Counter()
     for _ in range(samples):
@@ -216,49 +205,14 @@ def test_sizes_only_samplers_reject_bad_arguments(process, r, k):
 
 # --- the recursive sampler against its alias-chasing reference -------------
 
-def _reference_recursive(n, k, rng):
-    """The recursive sampler written with ``rng.sample`` per round and an
-    alias chase per variable: the reference for its random calls and output."""
-    survivors = list(range(n))
-    alias = {}
-    steps = []
-    while len(survivors) > k:
-        kept, removed = rng.sample(survivors, 2)
-        flip = rng.getrandbits(1)
-        alias[removed] = (kept, flip)
-        survivors.remove(removed)
-        steps.append(IdentificationStep(kept, removed, flip))
-    targets = list(range(k))
-    rng.shuffle(targets)
-    bijection = {s: t for s, t in zip(survivors, targets)}
-    final_shift = {s: rng.getrandbits(1) for s in survivors}
-    phi = [0] * n
-    shift = 0
-    for i in range(n):
-        root, flip = i, 0
-        while root in alias:
-            root, f = alias[root]
-            flip ^= f
-        phi[i] = bijection[root]
-        if flip ^ final_shift[root]:
-            shift |= 1 << i
-    transcript = RestrictionTranscript(tuple(steps), tuple(survivors), bijection, final_shift)
-    return Restriction(n, k, phi, shift), transcript
-
-
 def test_first_pair_makes_the_calls_of_sample():
     # With k = m - 1 the sampler draws one pair from range(m): both branches
     # of CPython's Random.sample, the pool up to 21 elements and redraws above.
     for m in range(2, 41):
         for seed in range(500):
             ours, reference = random.Random(seed), random.Random(seed)
-            _, transcript = sample_restriction_recursive(m, m - 1, ours)
-            kept, removed = reference.sample(range(m), 2)
-            assert transcript.steps[0][:2] == (kept, removed)
-            reference.getrandbits(1)  # the step's flip
-            reference.shuffle(list(range(m - 1)))
-            for _ in range(m - 1):
-                reference.getrandbits(1)  # the survivors' complements
+            restriction = sample_restriction_recursive(m, m - 1, ours)
+            assert restriction == reference_recursive(m, m - 1, reference)[0]
             assert ours.getstate() == reference.getstate()
 
 
@@ -269,12 +223,8 @@ def test_recursive_sampler_matches_reference():
                 continue
             for seed in range(8):
                 ours, reference = random.Random(seed), random.Random(seed)
-                restriction, transcript = sample_restriction_recursive(n, k, ours)
-                expected, expected_transcript = _reference_recursive(n, k, reference)
-                assert restriction == expected
-                assert transcript == expected_transcript
-                assert list(transcript.bijection.items()) == \
-                    list(expected_transcript.bijection.items())
+                restriction = sample_restriction_recursive(n, k, ours)
+                assert restriction == reference_recursive(n, k, reference)[0]
                 assert ours.getstate() == reference.getstate()
 
 
@@ -291,5 +241,6 @@ def test_run_test_once_transcripts_match_reference_sampler(k, monkeypatch):
 
     ours = list(runs())
     assert 0 < sum(t.accepted for t, _ in ours) < len(ours)
-    monkeypatch.setattr("gridcode.tester.sample_restriction_recursive", _reference_recursive)
+    monkeypatch.setattr("gridcode.tester.sample_restriction_recursive",
+                        lambda n, k, rng: reference_recursive(n, k, rng)[0])
     assert ours == list(runs())

@@ -40,8 +40,6 @@ def _readers(root: Path) -> list[Path]:
 READERS = _readers(ROOT)
 
 # name -> (the fast path it checks, the test that compares them)
-_RECURSIVE_LOG = ("the merge log replayed through identify_variables against "
-                  "sample_restriction_recursive's one reverse pass")
 REFERENCES = {
     "apply_restriction": (
         "run_test_once's table read through restriction_query_masks",
@@ -59,7 +57,7 @@ REFERENCES = {
         "sample_buckets_direct_sizes, from the same seed",
         "test_restrict.py::test_direct_restriction_has_the_sizes_of_the_sizes_sampler"),
     "identify_variables": (
-        "sample_restriction_recursive's one reverse pass over the merge steps",
+        "run_test_once's table read, against the reference sampler's merge steps",
         "test_tester.py::test_identification_chain_agrees_with_table_restriction"),
     "MultilinearPoly.evaluate_residue": (
         "MultilinearPoly.truth_table and PolyPoints.values_at",
@@ -70,26 +68,6 @@ REFERENCES = {
     "closest_poly_on_set": (
         "tolerant_test's weighted nearest codeword on the sampled points",
         "test_tolerant.py::test_tolerant_report_matches_the_table_reference"),
-    # Fields of the per-trial records that the fast paths fill and only the
-    # tests read, to check those paths against a plain re-derivation.
-    **{name: (_RECURSIVE_LOG,
-              "test_tester.py::test_identification_chain_agrees_with_table_restriction")
-       for name in ("IdentificationStep.kept", "IdentificationStep.removed",
-                    "IdentificationStep.flip", "RestrictionTranscript.steps",
-                    "RestrictionTranscript.bijection", "RestrictionTranscript.final_shift",
-                    "TestTranscript.identification_log", "TestTranscript.restricted")},
-    "RestrictionTranscript.survivors": (
-        "sample_restriction_recursive's phi on the surviving variables",
-        "test_restrict.py::test_recursive_transcript_consistent_with_restriction"),
-    "TestTranscript.restriction": (
-        "run_test_once's table read through restriction_query_masks",
-        "test_tester.py::test_restricted_function_matches_polynomial_restriction"),
-    "QueryLog.target": (
-        "local_decode's random assignment, against randrange(2k) per variable",
-        "test_decoder.py::test_local_decode_draws_assignment_as_randrange"),
-    "QueryLog.assignment": (
-        "local_decode's random assignment, against randrange(2k) per variable",
-        "test_decoder.py::test_local_decode_draws_assignment_as_randrange"),
 }
 
 _FAITHFUL = "the tester's theoretical regime: k = M d, eps1, ell and eps0, and its constraints"

@@ -8,7 +8,7 @@ import pytest
 from gridcode.cube import CubeFunction, apply_restriction, corrupt
 from gridcode.field import PrimeField
 from gridcode.poly import from_truth_table, random_poly
-from gridcode.restrict import Restriction
+from gridcode.restrict import Restriction, sample_restriction_recursive
 from gridcode.tester import (
     TesterParams,
     amplified_test,
@@ -16,6 +16,7 @@ from gridcode.tester import (
     estimate_rejection_probability,
     run_test_once,
 )
+from reference_sampler import reference_recursive
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -117,33 +118,39 @@ def test_restricted_function_matches_polynomial_restriction():
     params = TesterParams.desk(2, 4)
     poly = random_poly(9, 2, F3, rng)
     f = poly.truth_table()
+    state = rng.getstate()
     transcript = run_test_once(f, params, rng)
-    expected = apply_restriction(f, transcript.restriction)
-    assert transcript.restricted == expected
+    rng.setstate(state)
+    restriction = sample_restriction_recursive(9, params.k, rng)
+    expected = apply_restriction(f, restriction)
     assert [f.values[m] for m in transcript.query_masks] == expected.values
+    assert transcript.accepted == (from_truth_table(expected).degree() <= params.d)
+    # the masks carry the restriction: the shift mask, then one bucket per bit
+    masks = transcript.query_masks
+    assert masks[0] == restriction.shift_mask
+    assert [masks[1 << j] ^ masks[0] for j in range(params.k)] == \
+        [sum(1 << i for i in bucket) for bucket in restriction.buckets()]
 
 
 def test_identification_chain_agrees_with_table_restriction():
-    # Replaying the transcript's merge steps on the polynomial (variable by
-    # variable, through identify_variables) must land on the same function
-    # that restricting the truth table produces.
+    # Replaying the reference sampler's merge steps on the polynomial
+    # (variable by variable, through identify_variables) must land on the
+    # values that run_test_once reads from the truth table, seed for seed.
     from gridcode.poly import identify_variables
 
     rng = random.Random(230)
     params = TesterParams.desk(2, 3)
-    for _ in range(15):
+    for seed in range(15):
         poly = random_poly(7, 2, F3, rng)
         f = poly.truth_table()
-        transcript = run_test_once(f, params, rng)
-        log = transcript.identification_log
+        transcript = run_test_once(f, params, random.Random(seed))
+        _, steps, bijection, final_shift = reference_recursive(7, params.k, random.Random(seed))
 
         alive = list(range(7))
         reduced = poly
-        for step in log.steps:
-            kept = alive.index(step.kept)
-            removed = alive.index(step.removed)
-            reduced = identify_variables(reduced, kept, removed, step.flip)
-            alive.remove(step.removed)
+        for kept, removed, flip in steps:
+            reduced = identify_variables(reduced, alive.index(kept), alive.index(removed), flip)
+            alive.remove(removed)
 
         # final relabel: survivor at position pos feeds output
         # bijection[var], complemented by its final shift bit
@@ -151,11 +158,11 @@ def test_identification_chain_agrees_with_table_restriction():
         for y in range(1 << params.k):
             x = 0
             for pos, var in enumerate(alive):
-                bit = (y >> log.bijection[var]) & 1
-                if bit ^ log.final_shift[var]:
+                bit = (y >> bijection[var]) & 1
+                if bit ^ final_shift[var]:
                     x |= 1 << pos
             restricted_values.append(reduced.evaluate_residue(x))
-        assert restricted_values == transcript.restricted.values
+        assert restricted_values == f.values_at(transcript.query_masks)
 
 
 def test_amplified_accepts_codewords():
