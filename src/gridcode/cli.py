@@ -192,6 +192,9 @@ def run_tolerant_command(config: ExperimentConfig) -> list[dict]:
         mu_mean = float(mu_total / mu_count) if mu_count else float("nan")
         return {"mu_mean": f"{mu_mean:.6f}", "accept_rate": f"{accepts / config.trials:.6f}"}
 
+    # A code past the budget fails here, before any trial draws its polynomial.
+    p = config.params
+    oracle.CodeEnumeration(p["k"], p["d"], PrimeField(p["p"]))
     return _per_delta(config, _tolerant_chunk, "delta_true", row)
 
 

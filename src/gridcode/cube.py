@@ -115,22 +115,12 @@ def corrupt(f: CubeFunction, delta, rng) -> CubeFunction:
     return CubeFunction(f.n, f.field, values)
 
 
-def bucket_masks(r: Restriction) -> list[int]:
-    """For each output variable, the mask of its preimage variables."""
-    masks = [0] * r.k
-    for i, j in enumerate(r.var_to_output):
-        masks[j] |= 1 << i
-    return masks
-
-
-def query_mask(r: Restriction, y: int, masks: list[int] | None = None) -> int:
+def query_mask(r: Restriction, y: int) -> int:
     """The query point x(y) with x_i(y) = y_{phi(i)} xor a_i, as a mask."""
-    if masks is None:
-        masks = bucket_masks(r)
     x = r.shift_mask
-    for j in range(r.k):
+    for j, bucket in enumerate(r.buckets):
         if (y >> j) & 1:
-            x ^= masks[j]
+            x ^= bucket
     return x
 
 
@@ -140,12 +130,12 @@ def restriction_query_masks(r: Restriction) -> list[int]:
     x_i(y) = y_{phi(i)} xor a_i.  Buckets are disjoint, so x(y) is the shift
     mask xored with the union of the bucket masks of the set bits of y.
     """
-    bucket = bucket_masks(r)
+    buckets = r.buckets
     out = [0] * (1 << r.k)
     out[0] = r.shift_mask
     for y in range(1, 1 << r.k):
         low = y & -y
-        out[y] = out[y ^ low] ^ bucket[low.bit_length() - 1]
+        out[y] = out[y ^ low] ^ buckets[low.bit_length() - 1]
     return out
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .cube import CubeFunction
 from .field import FieldElement, PrimeField
+from .restrict import uniform_buckets
 
 FULL_BALANCED = "full_B"
 ZERO_TAIL_ONLY = "B_prime_only"
@@ -156,13 +157,9 @@ def local_decode(
         raise ValueError("target point out of range")
     if mode not in (FULL_BALANCED, ZERO_TAIL_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
-    width = 2 * params.k
-    randbelow = rng._randbelow  # the call randrange(width) makes
     points, bits, needed = _query_plan(params.k, params.d, mode)
     # z(y) is x xored with the variables assigned to the set bits of y.
-    buckets = [0] * width
-    for j in range(f.n):
-        buckets[randbelow(width)] |= 1 << j
+    buckets = uniform_buckets(f.n, 2 * params.k, rng)
     masks = []
     for outs in bits:
         z = x

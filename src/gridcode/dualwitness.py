@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .field import PrimeField, binomial_sum, row_reduce
+from .oracle import CodeEnumeration, code_fits
 from .poly import subsets_up_to
 
 
@@ -133,8 +134,6 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
     codewords, so scanning codewords covers every pair.  Otherwise it is
     implied by exact orthogonality with nonzero weights and flagged so.
     """
-    from .oracle import CodeEnumeration  # local import; oracle pulls in numpy
-
     p = witness.field.p
     monomials = subsets_up_to(witness.k, witness.d)
     orthogonality = True
@@ -157,8 +156,7 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
     size_ok = 0 < len(witness.support) <= binomial_sum(witness.k, witness.d) + 1
     nonzero_weights = all(witness.weights)
 
-    code_size = p ** binomial_sum(witness.k, witness.d)
-    if code_size <= budget:
+    if code_fits(p, binomial_sum(witness.k, witness.d), budget):
         separation_mode = "exhaustive"
         separation = True
         code = CodeEnumeration(witness.k, witness.d, witness.field, budget=budget)

@@ -2,7 +2,9 @@
 
 A restriction collapses n cube variables to k by mapping each variable i to an
 output variable phi(i), optionally complemented: x_i(y) = y_{phi(i)} xor a_i.
-Three samplers produce the same bucket-size distribution:
+It is held as its bucket masks, bucket j being the mask of the variables with
+phi(i) = j, so a query point is the shift mask xored with the buckets of the
+set bits of y.  Three samplers produce the same bucket-size distribution:
 
   * the recursive process (repeatedly identify a random pair, then relabel),
   * the direct parent process (each index above k picks a uniform earlier parent),
@@ -11,6 +13,8 @@ Three samplers produce the same bucket-size distribution:
 
 ``BUCKET_PROCESSES`` gives each its sizes sampler and exact enumerator, so the
 equivalence can be checked as an identity of rational distributions.
+``uniform_buckets`` draws the i.i.d. uniform map of the tolerant tester and
+the decoder, whose buckets may be empty.
 """
 
 from __future__ import annotations
@@ -23,66 +27,56 @@ from .errors import BudgetExceededError
 
 
 class Restriction:
-    """A map phi:[n]->[k] plus complement mask, all indices 0-based.
+    """A restriction as its k bucket masks plus complement mask, all indices
+    0-based.
 
-    ``var_to_output[i]`` is phi(i); bit i of ``shift_mask`` is the complement
-    bit a_i.  Every output variable must have at least one preimage (each
-    bucket contains its seed); ``UniformRestriction`` relaxes that.
+    Bit i of ``buckets[j]`` is set iff phi(i) = j, so the masks are disjoint
+    and cover [n], and k = len(buckets); a bucket may be empty.  Bit i of
+    ``shift_mask`` is the complement bit a_i.
     """
 
-    require_full_buckets = True
-
-    def __init__(self, n: int, k: int, var_to_output, shift_mask: int):
-        if n < 1 or k < 1:
+    def __init__(self, n: int, buckets, shift_mask: int):
+        buckets = tuple(buckets)
+        if n < 1 or not buckets:
             raise ValueError("dimensions must be positive")
-        var_to_output = tuple(var_to_output)
-        if len(var_to_output) != n:
-            raise ValueError(f"expected {n} output assignments, got {len(var_to_output)}")
-        if any(not 0 <= j < k for j in var_to_output):
-            raise ValueError("output index out of range")
+        # Non-negative masks summing to [n] are disjoint iff no bit carries,
+        # that is iff their sizes add up to n.
+        if min(buckets) < 0 or sum(buckets) != (1 << n) - 1 or \
+                sum(b.bit_count() for b in buckets) != n:
+            raise ValueError(f"bucket masks must be disjoint and cover the variables 0..{n - 1}")
         if not 0 <= shift_mask < (1 << n):
             raise ValueError("shift mask out of range")
-        if self.require_full_buckets:
-            seen = set(var_to_output)
-            if len(seen) != k:
-                missing = sorted(set(range(k)) - seen)
-                raise ValueError(f"empty buckets for outputs {missing}")
         self.n = n
-        self.k = k
-        self.var_to_output = var_to_output
+        self.k = len(buckets)
+        self.buckets = buckets
         self.shift_mask = shift_mask
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(n={self.n}, k={self.k}, "
-            f"phi={self.var_to_output}, shift={self.shift_mask:0{self.n}b})"
-        )
+        buckets = ", ".join(f"{b:0{self.n}b}" for b in self.buckets)
+        return f"Restriction(n={self.n}, buckets=({buckets}), shift={self.shift_mask:0{self.n}b})"
 
     def __eq__(self, other):
         return (
             isinstance(other, Restriction)
             and other.n == self.n
-            and other.k == self.k
-            and other.var_to_output == self.var_to_output
+            and other.buckets == self.buckets
             and other.shift_mask == self.shift_mask
         )
 
-    def buckets(self) -> list[list[int]]:
-        """Preimage classes of phi, indexed by output variable."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, j in enumerate(self.var_to_output):
-            out[j].append(i)
-        return out
-
     def bucket_sizes(self) -> tuple[int, ...]:
-        """Sorted sizes of the preimage classes."""
-        return tuple(sorted(len(b) for b in self.buckets()))
+        """Sorted sizes of the buckets."""
+        return tuple(sorted(b.bit_count() for b in self.buckets))
 
 
-class UniformRestriction(Restriction):
-    """Restriction sampled with i.i.d. uniform phi; buckets may be empty."""
-
-    require_full_buckets = False
+def uniform_buckets(n: int, k: int, rng) -> list[int]:
+    """The bucket masks of an i.i.d. uniform map [n] -> [k]: variable i, in
+    order, joins the bucket drawn by ``rng._randbelow(k)``, the one call
+    ``rng.randrange(k)`` makes.  Buckets may be empty."""
+    randbelow = rng._randbelow
+    buckets = [0] * k
+    for i in range(n):
+        buckets[randbelow(k)] |= 1 << i
+    return buckets
 
 
 def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
@@ -100,7 +94,10 @@ def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
     randbelow = rng._randbelow
     getrandbits = rng.getrandbits
     survivors = list(range(n))
-    steps = []  # (kept, removed, flip) per round
+    # members[v]: the variables merged into survivor v, v among them;
+    # odd[v]: those of them complemented relative to x_v.
+    members = [1 << v for v in range(n)]
+    odd = [0] * n
     for m in range(n, k, -1):
         # The positions rng.sample(survivors, 2) picks, from the same
         # randbelow calls as CPython's Random.sample: up to 21 elements it
@@ -116,22 +113,20 @@ def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
             while j == i:
                 j = randbelow(m)
         kept = survivors[i]
-        steps.append((kept, survivors.pop(j), getrandbits(1)))
+        removed = survivors.pop(j)
+        # x_removed := flip xor x_kept complements the removed class, relative
+        # to x_kept, exactly when flip is 1.
+        odd[kept] |= odd[removed] ^ members[removed] if getrandbits(1) else odd[removed]
+        members[kept] |= members[removed]
 
     targets = list(range(k))
     rng.shuffle(targets)
-    phi = [0] * n
+    buckets = [0] * k
     shift = 0
     for s, t in zip(survivors, targets):
-        phi[s] = t
-        shift |= getrandbits(1) << s
-    # A removed variable maps where its kept partner maps, with the step's
-    # flip added; the partner was removed later if at all, so undoing the
-    # steps last to first resolves it first.
-    for kept, removed, flip in reversed(steps):
-        phi[removed] = phi[kept]
-        shift |= (((shift >> kept) & 1) ^ flip) << removed
-    return Restriction(n, k, phi, shift)
+        buckets[t] = members[s]
+        shift |= odd[s] ^ members[s] if getrandbits(1) else odd[s]
+    return Restriction(n, buckets, shift)
 
 
 def direct_restriction(n: int, k: int, shift_bits, perm, parents) -> Restriction:
@@ -150,12 +145,12 @@ def direct_restriction(n: int, k: int, shift_bits, perm, parents) -> Restriction
     bits = list(shift_bits)
     for pos in range(k, n):
         bits[pos] ^= bits[parents[pos]]
-    phi = [0] * n
+    buckets = [0] * k
     shift = 0
     for pos, var in enumerate(perm):
-        phi[var] = owner[pos]
+        buckets[owner[pos]] |= 1 << var
         shift |= bits[pos] << var
-    return Restriction(n, k, phi, shift)
+    return Restriction(n, buckets, shift)
 
 
 def sample_restriction_direct(n: int, k: int, rng) -> Restriction:

@@ -25,7 +25,7 @@ from .cube import CubeFunction, restriction_query_masks
 from .field import PrimeField, binomial_sum
 from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, code_fits, nearest_codeword
 from .poly import MultilinearPoly
-from .restrict import UniformRestriction
+from .restrict import Restriction, uniform_buckets
 from .tester import TesterParams, amplified_test
 
 
@@ -102,17 +102,14 @@ def desk_k(d: int, p: int) -> int:
     return d + 5
 
 
-def sample_uniform_restriction(n: int, k: int, rng) -> UniformRestriction:
+def sample_uniform_restriction(n: int, k: int, rng) -> Restriction:
     """phi(i) i.i.d. uniform on [k] plus a uniform complement mask.
 
-    No surjectivity guarantee: outputs may have empty buckets, hence the
-    relaxed restriction type.
+    No surjectivity guarantee: outputs may have empty buckets.
     """
     if n < 1 or k < 1:
         raise ValueError("dimensions must be positive")
-    phi = [rng.randrange(k) for _ in range(n)]
-    shift = rng.getrandbits(n)
-    return UniformRestriction(n, k, phi, shift)
+    return Restriction(n, uniform_buckets(n, k, rng), rng.getrandbits(n))
 
 
 def sample_query_set(k: int, m: int, rng, replacement: bool = True) -> list[int]:

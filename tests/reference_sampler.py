@@ -1,11 +1,21 @@
 """The recursive bucket-process sampler written plainly, shared by the tests:
 the reference for the random calls and the output of
 ``restrict.sample_restriction_recursive``, and the only source of its merge
-steps."""
+steps; and ``restriction_from_phi``, which builds a restriction from an
+explicit variable map."""
 
 from __future__ import annotations
 
 from gridcode.restrict import Restriction
+
+
+def restriction_from_phi(n, k, phi, shift):
+    """The restriction that sends variable i to output phi[i], with
+    complement mask shift."""
+    buckets = [0] * k
+    for i, j in enumerate(phi):
+        buckets[j] |= 1 << i
+    return Restriction(n, buckets, shift)
 
 
 def reference_recursive(n, k, rng):
@@ -36,4 +46,4 @@ def reference_recursive(n, k, rng):
         phi[i] = bijection[root]
         if flip ^ final_shift[root]:
             shift |= 1 << i
-    return Restriction(n, k, phi, shift), steps, bijection, final_shift
+    return restriction_from_phi(n, k, phi, shift), steps, bijection, final_shift

@@ -480,6 +480,19 @@ def test_tolerant_past_the_budget_fails_before_drawing_its_sample(tmp_path):
     assert not out.exists()
 
 
+def test_tolerant_past_the_budget_draws_no_polynomial(tmp_path, capsys, monkeypatch):
+    # the code's budget is checked once, before any trial draws its polynomial
+    def random_poly(*args):
+        raise AssertionError("random_poly called")
+
+    monkeypatch.setattr("gridcode.cli.random_poly", random_poly)
+    out = tmp_path / "t.csv"
+    assert main(["tolerant", "--n", "20", "--d", "12", "--p", "3", "--delta1", "0",
+                 "--delta2", "1/5", "--delta", "0", "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: code has 3^127858 codewords (budget 10000000)\n"
+    assert not out.exists()
+
+
 def test_unwritable_out_path_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "w.json"
     assert main(["witness", "--k", "4", "--d", "1", "--out", str(out)]) == 1

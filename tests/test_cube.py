@@ -16,7 +16,7 @@ from gridcode.cube import (
 )
 from gridcode.field import PrimeField
 from gridcode.poly import from_truth_table, random_poly
-from gridcode.restrict import Restriction, UniformRestriction
+from reference_sampler import restriction_from_phi
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -90,17 +90,17 @@ def test_corrupt_changes_to_different_value():
 
 def test_apply_identity_restriction():
     f = CubeFunction.random(4, F3, random.Random(10))
-    assert apply_restriction(f, Restriction(4, 4, range(4), 0)) == f
+    assert apply_restriction(f, restriction_from_phi(4, 4, range(4), 0)) == f
 
 
 def test_apply_restriction_and_examples():
     f_and = CubeFunction(2, F2, [0, 0, 0, 1])
     # x1 = x2 = y: g(0) = AND(0,0) = 0, g(1) = AND(1,1) = 1
-    r = Restriction(2, 1, [0, 0], 0b00)
+    r = restriction_from_phi(2, 1, [0, 0], 0b00)
     g = apply_restriction(f_and, r)
     assert g.values == [0, 1]
     # with both inputs complemented the table flips
-    r = Restriction(2, 1, [0, 0], 0b11)
+    r = restriction_from_phi(2, 1, [0, 0], 0b11)
     g = apply_restriction(f_and, r)
     assert g.values == [1, 0]
 
@@ -108,12 +108,12 @@ def test_apply_restriction_and_examples():
 def test_apply_restriction_dimension_mismatch():
     f = CubeFunction.constant(3, F2)
     with pytest.raises(ValueError):
-        apply_restriction(f, Restriction(2, 1, [0, 0], 0))
+        apply_restriction(f, restriction_from_phi(2, 1, [0, 0], 0))
 
 
 def test_restriction_query_masks_match_pointwise():
     rng = random.Random(12)
-    r = UniformRestriction(6, 3, [rng.randrange(3) for _ in range(6)], rng.getrandbits(6))
+    r = restriction_from_phi(6, 3, [rng.randrange(3) for _ in range(6)], rng.getrandbits(6))
     masks = restriction_query_masks(r)
     for y in range(8):
         assert masks[y] == query_mask(r, y)
@@ -126,7 +126,7 @@ def test_query_point_uniform_for_random_shift():
     counts = {m: 0 for m in range(1 << n)}
     for phi in itertools.product(range(k), repeat=n):
         for shift in range(1 << n):
-            r = UniformRestriction(n, k, phi, shift)
+            r = restriction_from_phi(n, k, phi, shift)
             counts[query_mask(r, y)] += 1
     total = (k**n) * (1 << n)
     assert set(counts.values()) == {total // (1 << n)}
@@ -154,7 +154,7 @@ def test_cube_function_validation():
 def test_apply_restriction_consults_2k_points():
     rng = random.Random(14)
     f = CubeFunction.random(7, F2, rng)
-    r = Restriction(7, 3, [0, 1, 2, 0, 1, 2, 0], rng.getrandbits(7))
+    r = restriction_from_phi(7, 3, [0, 1, 2, 0, 1, 2, 0], rng.getrandbits(7))
     masks = restriction_query_masks(r)
     assert len(masks) == 8 and len(set(masks)) == 8
 

@@ -102,6 +102,19 @@ def test_verify_separation_modes():
     assert verify_witness(build_witness(6, 2, F2)).separation_mode == "implied"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_separation_mode_follows_the_code_budget(p):
+    # dimensions 5, 6 and 7 against a budget of p^6 and its neighbours: the
+    # scan is exhaustive exactly when the p^dim codewords fit the budget
+    witnesses = [build_witness(k, 1, PrimeField(p)) for k in (4, 5, 6)]
+    for budget in (p**6 - 1, p**6, p**6 + 1):
+        for w in witnesses:
+            fits = p ** binomial_sum(w.k, w.d) <= budget
+            report = verify_witness(w, budget)
+            assert report.separation_mode == ("exhaustive" if fits else "implied")
+            assert report.one_point_separation
+
+
 def test_witness_scaling_invariance():
     w = build_witness(4, 1, F3)
     for scale in (1, 2):

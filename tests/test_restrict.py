@@ -12,7 +12,6 @@ from gridcode.poly import random_poly
 from gridcode.restrict import (
     BUCKET_PROCESSES,
     Restriction,
-    UniformRestriction,
     direct_restriction,
     enumerate_cycle_buckets,
     exact_bucket_distribution,
@@ -21,16 +20,46 @@ from gridcode.restrict import (
     sample_buckets_direct_sizes,
     sample_restriction_direct,
     sample_restriction_recursive,
+    uniform_buckets,
 )
 from gridcode.tester import TesterParams, run_test_once
-from reference_sampler import reference_recursive
+from reference_sampler import reference_recursive, restriction_from_phi
 from stats_util import chi_square_goodness_of_fit, chi_square_homogeneity
 
 
-def test_restriction_requires_full_buckets():
-    with pytest.raises(ValueError):
-        Restriction(3, 2, [0, 0, 0], 0)
-    UniformRestriction(3, 2, [0, 0, 0], 0)  # relaxed type allows it
+def test_restriction_allows_empty_buckets():
+    r = Restriction(3, [0b111, 0], 0b101)
+    assert (r.k, r.bucket_sizes()) == (2, (0, 3))
+    assert r == restriction_from_phi(3, 2, [0, 0, 0], 0b101)
+
+
+@pytest.mark.parametrize("buckets", [[0b011, 0b110], [0b111, 0b001], [0b111, 0b111, 0]])
+def test_restriction_rejects_overlapping_masks(buckets):
+    with pytest.raises(ValueError, match="disjoint and cover"):
+        Restriction(3, buckets, 0)
+
+
+@pytest.mark.parametrize("buckets", [[0b001, 0b010], [0b0111, 0b1000], [0b111, -1], [], [0]])
+def test_restriction_rejects_masks_that_do_not_cover_the_variables(buckets):
+    with pytest.raises(ValueError, match="disjoint and cover|positive"):
+        Restriction(3, buckets, 0)
+
+
+@pytest.mark.parametrize("shift", [-1, 0b1000])
+def test_restriction_rejects_a_shift_out_of_range(shift):
+    with pytest.raises(ValueError, match="shift mask out of range"):
+        Restriction(3, [0b011, 0b100], shift)
+
+
+def test_uniform_buckets_are_the_randrange_map():
+    # the same masks, and the same generator state after, as one
+    # randrange(k) per variable in order
+    for k in range(1, 41):
+        for seed in range(5):
+            ours, reference = random.Random(seed), random.Random(seed)
+            phi = [reference.randrange(k) for _ in range(30)]
+            assert uniform_buckets(30, k, ours) == list(restriction_from_phi(30, k, phi, 0).buckets)
+            assert ours.getstate() == reference.getstate()
 
 
 def test_recursive_needs_strict_reduction():
@@ -48,7 +77,7 @@ def test_recursive_deterministic_and_valid():
         a = sample_restriction_recursive(8, 3, random.Random(seed))
         b = sample_restriction_recursive(8, 3, random.Random(seed))
         assert a == b
-        assert all(a.buckets())  # every output variable has a preimage
+        assert all(a.buckets)  # every output variable has a preimage
 
 
 def test_direct_single_round_shape():
@@ -60,15 +89,17 @@ def test_direct_single_round_shape():
 
 
 def test_direct_deterministic():
-    a = sample_restriction_direct(9, 4, random.Random(3))
-    b = sample_restriction_direct(9, 4, random.Random(3))
-    assert a == b
+    for seed in range(20):
+        a = sample_restriction_direct(9, 4, random.Random(seed))
+        b = sample_restriction_direct(9, 4, random.Random(seed))
+        assert a == b
+        assert all(a.buckets)  # every output variable has a preimage
 
 
 def test_direct_restriction_explicit_choices():
     # Two variables, position 1 terminal at output 0 after one substitution.
     r = direct_restriction(2, 1, [1, 1], [0, 1], [0, 0])
-    assert r.var_to_output == (0, 0)
+    assert r.buckets == (0b11,)
     # variable 0 (position 0): shift a_0 = 1; variable 1 (position 1):
     # a_1 xor a_0 = 0.
     assert r.shift_mask == 0b01
@@ -226,6 +257,7 @@ def test_recursive_sampler_matches_reference():
                 restriction = sample_restriction_recursive(n, k, ours)
                 assert restriction == reference_recursive(n, k, reference)[0]
                 assert ours.getstate() == reference.getstate()
+                assert all(restriction.buckets)
 
 
 @pytest.mark.parametrize("k", (4, 6))

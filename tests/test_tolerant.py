@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridcode.cube import CubeFunction, apply_restriction, bucket_masks, corrupt, query_mask
+from gridcode.cube import CubeFunction, apply_restriction, corrupt, query_mask
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode.oracle import CodeEnumeration, _min_disagreement, exact_delta_d
@@ -27,7 +27,7 @@ F3 = PrimeField(3)
 
 def test_uniform_restriction_k1_maps_everything_to_y1():
     r = sample_uniform_restriction(12, 1, random.Random(0))
-    assert set(r.var_to_output) == {0}
+    assert r.buckets == (0xFFF,)
 
 
 def test_uniform_restriction_deterministic():
@@ -43,8 +43,11 @@ def test_uniform_restriction_marginals():
     counts = [[0] * k for _ in range(n)]
     for _ in range(draws):
         r = sample_uniform_restriction(n, k, rng)
-        for i, j in enumerate(r.var_to_output):
-            counts[i][j] += 1
+        for j, bucket in enumerate(r.buckets):
+            while bucket:
+                low = bucket & -bucket
+                counts[low.bit_length() - 1][j] += 1
+                bucket ^= low
     sigma = (draws * (1 / k) * (1 - 1 / k)) ** 0.5
     for per_var in counts:
         for c in per_var:
@@ -207,11 +210,10 @@ def test_distance_estimate_concentrates():
         poly = random_poly(n, 1, F2, rng)
         f = corrupt(poly.truth_table(), Fraction(5, 100), rng)
         r = sample_uniform_restriction(n, k, rng)
-        buckets = bucket_masks(r)
         sample = sample_query_set(k, m, rng)
         disagreements = 0
         for pt in sample:
-            x = query_mask(r, pt, buckets)
+            x = query_mask(r, pt)
             disagreements += f.values[x] != poly.evaluate_residue(x)
         estimate = Fraction(disagreements, m)
         if not delta - eps <= estimate <= delta + eps:
