@@ -20,7 +20,7 @@ from .poly import subsets_up_to
 
 
 def hamming(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
+    return (a ^ b).bit_count()
 
 
 def default_window(k: int) -> tuple[int, int]:

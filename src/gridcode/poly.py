@@ -57,7 +57,7 @@ class MultilinearPoly:
         """Largest monomial size with a nonzero coefficient (0 if none)."""
         if not self.coeffs:
             return 0
-        return max(bin(m).count("1") for m in self.coeffs)
+        return max(m.bit_count() for m in self.coeffs)
 
     def evaluate_residue(self, x_mask: int) -> int:
         """Value at the point with the given mask, as a raw residue."""

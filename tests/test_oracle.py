@@ -328,6 +328,52 @@ def test_transforms_match_block_scan_on_weighted_multisets():
     assert cases == 10 * 8 + 4 * 3 and tied > cases // 3
 
 
+def _group_sizes(k, p):
+    """The coordinates each step of ``_histogram_nearest`` eliminates by one
+    product over F_p at k (none when every step uses the shift table)."""
+    top = oracle._group_size(p)
+    return [k % top] * (k % top > 0) + [top] * (k // top) if top else []
+
+
+# (p, k) at every group boundary of the d = 1 histogram over odd p: a partial
+# group, one whole group, a group and one more, and two groups with and
+# without a remainder; then the shift-table steps from p = 11 on.
+GROUP_BOUNDARIES = [(3, 3), (3, 4), (3, 5), (3, 8), (3, 9), (5, 3), (5, 4), (5, 6), (7, 2),
+                    (7, 3), (7, 5), (11, 1), (11, 2), (11, 3), (31, 1), (31, 2), (31, 3),
+                    (37, 1), (37, 2), (37, 3), (257, 1)]
+
+
+def test_grouped_elimination_matches_block_scan_at_group_boundaries():
+    assert {p: oracle._group_size(p) for p in (3, 5, 7, 11, 31, 37, 257)} == {
+        3: 4, 5: 3, 7: 2, 11: 0, 31: 0, 37: 0, 257: 0}
+    rng = random.Random(20)
+    cases = tied = 0
+    for p, k in GROUP_BOUNDARIES:
+        code = CodeEnumeration(k, 1, PrimeField(p))
+        dtype = np.uint8 if p < 256 else np.int64
+        # f = x_0 x_(k-1) is a quarter away from several affine functions
+        product = [p - 1 if x & 1 and x >> (k - 1) & 1 else 0 for x in range(1 << k)]
+        uniform = [rng.randrange(p) for _ in range(1 << k)]
+        weights = np.asarray([rng.randrange(4) for _ in range(1 << k)], dtype=np.int64)
+        for values, w in ((product, None), (uniform, None), (uniform, weights)):
+            table = np.asarray(values, dtype=dtype)
+            reference = np.ones(1 << k, np.int64) if w is None else w
+            expected = _min_disagreement(code, range(1 << k), table, reference)
+            assert nearest_codeword(code, table, w) == expected, (p, k, values, w)
+            if code.size <= 10**5:
+                tied += sum(int(np.count_nonzero(_weighted_counts(block != table, reference)
+                                                 == expected[1]))
+                            for _, block in code.iter_value_blocks(range(1 << k))) > 1
+            cases += 1
+    assert cases == 3 * len(GROUP_BOUNDARIES) and tied > cases // 4
+    for p, k in GROUP_BOUNDARIES:
+        assert sum(_group_sizes(k, p)) in (0, k)
+        for g in _group_sizes(k, p):
+            matrix = oracle._group_matrix(p, g)
+            assert matrix.shape == (p << g, p ** (g + 1)) and not matrix.flags.writeable
+            assert matrix.size <= oracle._GROUP_ENTRIES <= 1 << 16
+
+
 @pytest.mark.parametrize("p", [251, 257])
 def test_exact_delta_d_on_both_table_dtypes(p):
     # p = 251 reads the table as bytes, p = 257 as int64
@@ -357,7 +403,10 @@ def test_plans_are_keyed_by_code_and_read_only():
     plans += [oracle._histogram_plan(k, p) for k, d, p in keys if p > 2]
     arrays = [a for plan in plans for a in plan if isinstance(a, np.ndarray)]
     assert len(arrays) == 3 * 3 + 2 * 2 + 2 * 2  # d = 1 cosets have no signs
-    assert not any(a.flags.writeable for a in arrays + [oracle._HADAMARD])
+    matrices = {(p, g): oracle._group_matrix(p, g)
+                for k, d, p in keys if p > 2 for g in _group_sizes(k, p)}
+    assert sorted(matrices) == [(3, 1), (3, 3), (3, 4)]  # k = 3 in one step, k = 5 in 4 + 1
+    assert not any(a.flags.writeable for a in arrays + list(matrices.values()) + [oracle._HADAMARD])
 
 
 @pytest.mark.parametrize("k, d, p", [(7, 2, 2), (8, 2, 2), (5, 2, 3), (13, 1, 5), (2, 1, 257)])
@@ -366,7 +415,7 @@ def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
         raise AssertionError("a nearest-codeword path ran past the budget check")
 
     for name in ("_histogram_nearest", "_coset_nearest", "_min_disagreement",
-                 "_histogram_plan", "_coset_plan"):
+                 "_histogram_plan", "_group_matrix", "_coset_plan"):
         monkeypatch.setattr(oracle, name, unreachable)
     field = PrimeField(p)
     size = p ** sum(math.comb(k, i) for i in range(d + 1))
