@@ -148,7 +148,7 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
 
     lo, hi = witness.window
     window_ok = all(
-        lo <= min(hamming(a, b), witness.k - hamming(a, b))
+        lo <= hamming(a, b) <= hi
         for idx, a in enumerate(witness.support)
         for b in witness.support[idx + 1:]
     )

@@ -3,15 +3,17 @@
 Everything here is an exact oracle backing the Monte Carlo experiments.
 The code F(k, d) has p^C(k,<=d) codewords, indexed by their coefficient
 vectors in lexicographic order; distances are exact fractions and ties
-break to the smallest index.  ``nearest_codeword`` takes one of three
-exact paths, all with that result:
+break to the smallest index.  ``nearest_codeword`` reads f as a table over
+all of {0,1}^k with a weight per point (zero off a sample) and takes one of
+three exact paths, all with that result:
 
-* d = 1: over F_2 the Walsh-Hadamard transform of w (-1)^f, O(k 2^k); over
-  odd p a residue histogram that eliminates a group of coordinates per
-  float64 matrix product (BLAS), or one per gather from p = 11 on,
-  O(p^(k+1)); exact, since every count is an integer below 2^53.
-* d = 2 over F_2: the Walsh-Hadamard transform of every quadratic coset of
-  first-order Reed-Muller, as one matrix product, O(2^C(k,2) 4^k).
+* d >= 1 over F_2: every codeword is h + a.x + c with h its part of degree
+  at least 2, so each h gives a coset of first-order Reed-Muller; the
+  Walsh-Hadamard transform of every coset at once, as one matrix product,
+  O(2^#high 4^k) with #high = C(k,<=d) - k - 1 (O(k 2^k) at d = 1).
+* d = 1 over odd p: a residue histogram that eliminates a group of
+  coordinates per float64 matrix product (BLAS), or one per gather from
+  p = 11 on, O(p^(k+1)); exact, since every count is an integer below 2^53.
 * everything else: the block scan ``_min_disagreement``, which compares the
   input with every codeword at every point, O(p^C(k,<=d) 2^k), one block of
   codewords at a time and with nothing cached between calls.  It is also the
@@ -21,11 +23,11 @@ The transforms read a plan built once per code and kept in a bounded
 ``functools.lru_cache``, so that a repeated call does only the work that
 depends on its input.  Every cached array is read-only.
 
-* ``_coset_plan(k, d)``, d <= 2 over F_2: the +-1 characters of every
-  quadratic part, float64, 8 * 2^(C(k,2) + k) bytes (256 KiB at k = 5 and
-  16 MiB at k = 6, the largest k the default budget admits at d = 2; none at
-  d = 1), and the index digits of the quadratic and linear parts,
-  8 * (2^C(k,2) + 2^k) bytes.
+* ``_coset_plan(k, d)``, d >= 1 over F_2: the +-1 characters of every
+  part h of degree at least 2, float64, 8 * 2^(#high + k) bytes (128 KiB at
+  k = 4, d = 3; 256 KiB at k = 5, d = 2; 16 MiB at k = 6, d = 2, the
+  largest the default budget admits; none at d = 1), and the index digits
+  of h and of the linear part, 8 * (2^#high + 2^k) bytes.
 * ``_histogram_plan(k, p)``, d = 1 over odd p: the point numbers and the
   residue shift table, 8 * (2^k + p^2) bytes.
 * ``_group_matrix(p, g)``, d = 1 over p = 3, 5, 7: the 0/1 matrix that
@@ -61,6 +63,11 @@ def code_fits(p: int, dimension: int, budget: int) -> bool:
     """Whether p^dimension codewords fit ``budget``; p >= 2, so a dimension
     past the budget's bit length cannot fit and its power is never built."""
     return dimension < budget.bit_length() and p ** dimension <= budget
+
+
+def residue_dtype(p: int) -> type:
+    """The dtype of residue arrays over F_p: uint8 below 256, else int64."""
+    return np.uint8 if p < 256 else np.int64
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -164,8 +171,7 @@ class CodeEnumeration:
         """
         points = list(points)
         p = self.field.p
-        dtype = np.uint8 if p < 256 else np.int64
-        mono = self.monomial_matrix(points).astype(dtype)
+        mono = self.monomial_matrix(points).astype(residue_dtype(p))
         low = 0
         while low < self.dimension and p ** (low + 1) <= block_rows:
             low += 1
@@ -356,15 +362,15 @@ def _subset_sums(values) -> np.ndarray:
 class _CosetPlan(NamedTuple):
     """What ``_coset_nearest`` needs of the code F(k, d), read-only."""
 
-    signs: np.ndarray | None  # (-1)^q(x) per quadratic part q (row) and x; None at d = 1
-    quadratic_index: np.ndarray  # index digits of each row's quadratic part
+    signs: np.ndarray | None  # (-1)^h(x) per part h of degree >= 2 (row) and x; None at d = 1
+    high_index: np.ndarray  # index digits of each row's part h
     linear_index: np.ndarray  # index digits of a.x, at a
     constant_index: int  # index digit of the constant 1
 
 
 @functools.lru_cache(maxsize=16)
 def _coset_plan(k: int, d: int) -> _CosetPlan:
-    """The quadratic-coset characters and index digits of F(k, d) over F_2.
+    """The coset characters and index digits of F(k, d) over F_2, d >= 1.
 
     ``signs`` is float64 so that the per-call product runs in BLAS straight
     from the cache.  Stored as int8 it would take an eighth of the memory,
@@ -374,17 +380,17 @@ def _coset_plan(k: int, d: int) -> _CosetPlan:
     """
     monomials = _monomials(k, d)
     digit = {m: 1 << (len(monomials) - 1 - j) for j, m in enumerate(monomials)}
-    quadratic = [m for m in monomials if m.bit_count() == 2]
+    high = [m for m in monomials if m.bit_count() >= 2]
     signs = None
-    if quadratic:
+    if high:
         x = np.arange(1 << k)
-        masks = np.asarray(quadratic, dtype=np.int64).reshape(-1, 1)
+        masks = np.asarray(high, dtype=np.int64).reshape(-1, 1)
         parts = _span_values(((x & masks) == masks).astype(np.uint8), 2)
         signs = _read_only(1.0 - 2.0 * parts)
     return _CosetPlan(
         signs,
-        # rows follow _span_values: the first quadratic monomial is the top bit
-        _read_only(_subset_sums(digit[m] for m in quadratic)),
+        # rows follow _span_values: the first monomial of h is the top bit
+        _read_only(_subset_sums(digit[m] for m in high)),
         # bit i of a is the coefficient of x_i
         _read_only(_subset_sums(digit[1 << i] for i in reversed(range(k)))),
         digit[0],
@@ -393,19 +399,20 @@ def _coset_plan(k: int, d: int) -> _CosetPlan:
 
 def _coset_nearest(code: CodeEnumeration, table: np.ndarray,
                    weights: np.ndarray | None) -> tuple[int, int]:
-    """(best codeword index, weighted disagreement count) for d <= 2 over F_2.
+    """(best codeword index, weighted disagreement count) for d >= 1 over F_2.
 
-    Every codeword is q + a.x + c with q one of the 2^C(k,2) quadratic parts
-    (none for d = 1), so each q gives a coset of first-order Reed-Muller.
-    With S_q the Walsh-Hadamard transform of w (-1)^(f+q), the codeword
-    q + a.x + c disagrees with f on weight (W - (-1)^c S_q[a]) / 2, W the
-    total weight (every weight 1 when ``weights`` is None).  The transform
-    is linear, so every S_q comes from one product of the cached characters
-    (-1)^q with the transform of diag(w (-1)^f).  The best count comes from
-    the extreme S_q[a], and c = 0 wins when both signs reach it, since c is
-    the most significant digit.  Only the tied (q, a) are mapped to indices,
-    through the cached digit tables, and the smallest wins, which is the
-    tie-break of ``_min_disagreement``.  O(2^C(k,2) 4^k) work.
+    Every codeword is h + a.x + c with h one of the 2^#high parts of degree
+    at least 2 (only h = 0 for d = 1), so each h gives a coset of
+    first-order Reed-Muller.  With S_h the Walsh-Hadamard transform of
+    w (-1)^(f+h), the codeword h + a.x + c disagrees with f on weight
+    (W - (-1)^c S_h[a]) / 2, W the total weight (every weight 1 when
+    ``weights`` is None).  The transform is linear, so every S_h comes from
+    one product of the cached characters (-1)^h with the transform of
+    diag(w (-1)^f).  The best count comes from the extreme S_h[a], and
+    c = 0 wins when both signs reach it, since c is the most significant
+    digit.  Only the tied (h, a) are mapped to indices, through the cached
+    digit tables, and the smallest wins, which is the tie-break of
+    ``_min_disagreement``.  O(2^#high 4^k) work.
     """
     k = code.k
     plan = _coset_plan(k, code.d)
@@ -420,48 +427,41 @@ def _coset_nearest(code: CodeEnumeration, table: np.ndarray,
     plus = high >= -low
     top = high if plus else low
     tied = np.flatnonzero(spectrum == top)
-    index = plan.quadratic_index[tied >> k] + plan.linear_index[tied & ((1 << k) - 1)]
+    index = plan.high_index[tied >> k] + plan.linear_index[tied & ((1 << k) - 1)]
     total = 1 << k if weights is None else int(weights.sum())
     return int(index.min()) + (0 if plus else plan.constant_index), (total - abs(int(top))) // 2
 
 
 def nearest_codeword(code: CodeEnumeration, table: np.ndarray,
-                     weights: np.ndarray | None = None, points=None) -> tuple[int, int]:
+                     weights: np.ndarray | None = None) -> tuple[int, int]:
     """(best codeword index, weighted disagreement count) over the code.
 
-    ``table`` holds f on {0,1}^k in mask order, or at the distinct
-    ``points`` when given; ``weights`` are its multiplicities there (every
-    point once when None).  The result, tie-break included, is that of the
-    block scan ``_min_disagreement``.  d = 1 and d = 2 over F_2 use cosets
-    of first-order Reed-Muller, d = 1 over odd p residue histograms; both
-    spread the points over the whole cube with weight zero elsewhere.
-    Everything else is the block scan.  ``code`` is built first, so its
-    budget check precedes every path and every plan.  No path writes into
-    ``table`` or ``weights``.
+    ``table`` holds f on {0,1}^k in mask order and ``weights`` the
+    multiplicity of each point, zero off a sample (every point once when
+    None).  The result, tie-break included, is that of the block scan
+    ``_min_disagreement``.  Every d >= 1 over F_2 uses cosets of first-order
+    Reed-Muller, d = 1 over odd p residue histograms, everything else the
+    block scan.  ``code`` is built first, so its budget check precedes every
+    path and every plan.  No path writes into ``table`` or ``weights``.
     """
-    p, k = code.field.p, code.k
-    if not (code.d == 1 or (code.d == 2 and p == 2)):
-        if points is None:
-            points = range(1 << k)
-        return _min_disagreement(code, points, table, weights)
-    if points is not None:
-        full_table = np.zeros(1 << k, dtype=table.dtype)
-        full_weights = np.zeros(1 << k, dtype=np.int64)
-        full_table[points] = table
-        full_weights[points] = 1 if weights is None else weights
-        table, weights = full_table, full_weights
-    transform = _coset_nearest if p == 2 else _histogram_nearest
-    return transform(code, table, weights)
+    p, d = code.field.p, code.d
+    if p == 2 and d >= 1:
+        return _coset_nearest(code, table, weights)
+    if d == 1:
+        return _histogram_nearest(code, table, weights)
+    return _min_disagreement(code, range(1 << code.k), table, weights)
 
 
 def _nearest(f: CubeFunction, d: int, budget: int) -> tuple[CodeEnumeration, int, int]:
     """(code, best codeword index, disagreement count) of f in the degree-d
     code; the code's budget check comes first."""
     code = CodeEnumeration(f.n, d, f.field, budget=budget)
-    if f.field.p < 256:
-        table = np.frombuffer(bytes(f.values), dtype=np.uint8)
+    dtype = residue_dtype(f.field.p)
+    if dtype is np.uint8:
+        # bytes() packs the residues in half the time asarray takes
+        table = np.frombuffer(bytes(f.values), dtype)
     else:
-        table = np.asarray(f.values, dtype=np.int64)
+        table = np.asarray(f.values, dtype)
     best, count = nearest_codeword(code, table)
     return code, best, count
 

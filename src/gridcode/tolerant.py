@@ -3,9 +3,12 @@
 Step 1 runs the amplified intolerant test to screen out functions far beyond
 the tolerant regime.  Step 2 restricts through an i.i.d. uniform variable map
 (not the bucket process; buckets may be empty here) and samples a query set S
-from the small cube.  Step 3 finds the exactly closest degree-d polynomial on
-S (``oracle.nearest_codeword``, weighted by multiplicity) and accepts iff its
-distance mu on S is below (delta_1 + delta_2) / 2.
+from the small cube.  Step 3 reads f once at the query point of each
+distinct point of S, in ascending order, writes those values into a table
+over the whole small cube, and finds the exactly closest degree-d
+polynomial on S (``oracle.nearest_codeword``, each point weighted by its
+multiplicity in S, zero off S).  It accepts iff the distance mu on S is
+below (delta_1 + delta_2) / 2.
 
 The input f is read only through ``f.values_at(masks)`` (see ``cube``), so a
 ``CubeFunction`` table and a ``poly.CorruptedPoly`` oracle give the same
@@ -15,7 +18,6 @@ reports.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +25,8 @@ import numpy as np
 
 from .cube import CubeFunction, restriction_query_masks
 from .field import PrimeField, binomial_sum
-from .oracle import CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, code_fits, nearest_codeword
+from .oracle import (CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, code_fits,
+                     nearest_codeword, residue_dtype)
 from .poly import MultilinearPoly
 from .restrict import Restriction, uniform_buckets
 from .tester import TesterParams, amplified_test
@@ -124,23 +127,21 @@ def sample_query_set(k: int, m: int, rng, replacement: bool = True) -> list[int]
     return rng.sample(range(size), m)
 
 
-def _closest_on_points(
-    values: dict[int, int],
-    weights: dict[int, int],
-    code: CodeEnumeration,
-) -> tuple[MultilinearPoly, Fraction]:
-    """Exact weighted nearest codeword of ``code`` on a set of points.
+def _closest_on_sample(code: CodeEnumeration, sample,
+                       read) -> tuple[MultilinearPoly, Fraction, int]:
+    """(closest codeword of ``code`` on a multiset of points of {0,1}^k, its
+    multiset-weighted distance mu, the number of distinct points).
 
-    Ties break to the lexicographically smallest coefficient vector (the
-    enumeration order of CodeEnumeration).
+    ``read(points)`` answers the residues at the distinct points, given in
+    ascending order, and is called once.  Ties break to the
+    lexicographically smallest coefficient vector.
     """
-    points = sorted(values)
-    dtype = np.uint8 if code.field.p < 256 else np.int64
-    table = np.asarray([values[pt] for pt in points], dtype=dtype)
-    weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
-    total = int(weight_vec.sum())
-    best, count = nearest_codeword(code, table, weight_vec, points)
-    return code.poly_at(best), Fraction(count, total)
+    weights = np.bincount(sample, minlength=1 << code.k)
+    points = np.flatnonzero(weights).tolist()
+    table = np.zeros(1 << code.k, dtype=residue_dtype(code.field.p))
+    table[points] = read(points)
+    best, count = nearest_codeword(code, table, weights)
+    return code.poly_at(best), Fraction(count, len(sample)), len(points)
 
 
 def closest_poly_on_set(
@@ -148,9 +149,9 @@ def closest_poly_on_set(
 ) -> tuple[MultilinearPoly, Fraction]:
     """Closest degree-d polynomial to g on a multiset of points, with its
     multiset-weighted distance mu."""
-    weights = Counter(sample)
-    values = dict(zip(weights, g.values_at(list(weights))))
-    return _closest_on_points(values, weights, CodeEnumeration(g.n, d, g.field, budget=budget))
+    code = CodeEnumeration(g.n, d, g.field, budget=budget)
+    poly, mu, _ = _closest_on_sample(code, sample, g.values_at)
+    return poly, mu
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,10 @@ def tolerant_test(f: CubeFunction, params: TolerantParams, rng) -> TolerantRepor
     code = CodeEnumeration(params.k, params.d, f.field)
     restriction = sample_uniform_restriction(f.n, params.k, rng)
     sample = sample_query_set(params.k, params.m, rng, params.replacement)
-    points = restriction_query_masks(restriction)
-    weights = Counter(sample)
-    values = dict(zip(weights, f.values_at([points[pt] for pt in weights])))
-    queries += len(weights)
-    interpolated, mu = _closest_on_points(values, weights, code)
+    masks = restriction_query_masks(restriction)
+    interpolated, mu, read = _closest_on_sample(
+        code, sample, lambda points: f.values_at([masks[pt] for pt in points]))
+    queries += read
     assert queries <= params.max_queries
     accepted = mu < params.threshold
     return TolerantReport(accepted, True, mu, queries, interpolated)
@@ -191,17 +191,15 @@ def restricted_min_distance(k: int, d: int, field: PrimeField, sample) -> Fracti
     By linearity this equals the minimum distance of the degree-d code
     restricted to the sample (points weighted by multiplicity).
     """
-    multiplicity = Counter(sample)
-    points = sorted(multiplicity)
-    weight_vec = np.asarray([multiplicity[pt] for pt in points], dtype=np.int64)
-    total = int(weight_vec.sum())
+    weights = np.bincount(sample, minlength=1 << k)
+    points = np.flatnonzero(weights)
     code = CodeEnumeration(k, d, field)
     best = None
     for start, block in code.iter_value_blocks(points):
-        nonzero = _weighted_counts(block != 0, weight_vec)
+        nonzero = _weighted_counts(block != 0, weights[points])
         if start == 0:
             nonzero = nonzero[1:]  # skip the zero codeword
         local = int(nonzero.min()) if len(nonzero) else None
         if local is not None and (best is None or local < best):
             best = local
-    return Fraction(best, total)
+    return Fraction(best, len(sample))

@@ -134,6 +134,15 @@ def test_tampered_weight_breaks_orthogonality():
     assert not verify_witness(tampered).orthogonality
 
 
+def test_window_check_reads_both_ends_of_the_recorded_window():
+    # Distance 3 lies above the recorded [1, 2], though min(3, 4 - 3) = 1
+    # does not lie below it; distance 2 lies inside.
+    outside = DualWitness(4, 0, F2, (0b0000, 0b0111), (1, 1), (1, 2))
+    inside = DualWitness(4, 0, F2, (0b0000, 0b0011), (1, 1), (1, 2))
+    assert not verify_witness(outside).window
+    assert verify_witness(inside).window
+
+
 def test_orthogonality_is_exact():
     w = build_witness(6, 2, F3)
     for mono in subsets_up_to(6, 2):

@@ -264,11 +264,12 @@ def test_weighted_scan_matches_int64_product():
 
 def _full_cube_cases():
     """(d, field, table) cases for the transforms: every table with n <= 3
-    for p = 3, n <= 2 for p = 5 and n = 2 for d = 2 over F_2; seeded tables
-    at n = 3 for p = 5; then, per n, seeded uniform (many ties), planted,
-    and planted with up to half of the points changed, up to n = 7 for p = 3
-    and n = 6 for d = 2 over F_2."""
-    for d, p, top in ((1, 3, 3), (1, 5, 2), (2, 2, 2)):
+    for p = 3, n <= 2 for p = 5, n = 2 for d = 2 and n = 3 for d = 3 over
+    F_2; seeded tables at n = 3 for p = 5; then, per n, seeded uniform (many
+    ties), planted, and planted with up to half of the points changed, up to
+    n = 7 for p = 3, n = 6 for d = 2 over F_2 and n = 4 for d = 3, 4 over
+    F_2."""
+    for d, p, top in ((1, 3, 3), (1, 5, 2), (2, 2, 2), (3, 2, 3)):
         for n in range(d, top + 1):
             for values in itertools.product(range(p), repeat=1 << n):
                 yield d, PrimeField(p), list(values)
@@ -276,7 +277,8 @@ def _full_cube_cases():
     F5 = PrimeField(5)
     for _ in range(2000):
         yield 1, F5, [rng.randrange(5) for _ in range(8)]
-    for d, field, sizes, per_size in ((1, F3, range(1, 8), 9), (2, F2, range(2, 7), 3)):
+    for d, field, sizes, per_size in ((1, F3, range(1, 8), 9), (2, F2, range(2, 7), 3),
+                                      (3, F2, range(3, 5), 6), (4, F2, [4], 6)):
         for n in sizes:
             for i in range(per_size):
                 if i % 3 == 0:
@@ -301,14 +303,25 @@ def test_transforms_match_block_scan_on_full_cube():
         assert exact_delta_d(CubeFunction(n, field, values), d) == (
             Fraction(expected[1], 1 << n), code.poly_at(expected[0]))
         cases += 1
-    assert cases == (9 + 81 + 6561) + (25 + 625) + 16 + 2000 + 7 * 9 + 5 * 3
+    assert cases == (9 + 81 + 6561) + (25 + 625) + 16 + 256 + 2000 + 7 * 9 + 5 * 3 + 3 * 6
+
+
+def _on_full_cube(code, points, table, weights):
+    """A sample's table and weights as arrays over all of {0,1}^k, zero off
+    the sample."""
+    full_table = np.zeros(1 << code.k, dtype=table.dtype)
+    full_weights = np.zeros(1 << code.k, dtype=np.int64)
+    full_table[points], full_weights[points] = table, weights
+    return full_table, full_weights
 
 
 # (k, d, p, trials) for the transforms: d = 1 over F_2, F_3, F_5, F_31 and
-# F_257, and d = 2 over F_2, at sizes up to the tolerant test's desk profile.
+# F_257, and d = 2, 3, 4 over F_2 (d = k at k = 2, 3, 4), at sizes up to the
+# tolerant test's desk profile.
 TRANSFORM_MULTISETS = [(1, 1, 2, 8), (3, 1, 2, 8), (6, 1, 2, 3), (8, 1, 2, 3), (2, 2, 2, 8),
-                       (4, 2, 2, 8), (5, 2, 2, 8), (6, 2, 2, 3), (1, 1, 3, 8), (4, 1, 3, 8),
-                       (6, 1, 3, 3), (3, 1, 5, 8), (2, 1, 31, 8), (1, 1, 257, 8)]
+                       (4, 2, 2, 8), (5, 2, 2, 8), (6, 2, 2, 3), (3, 3, 2, 8), (4, 3, 2, 8),
+                       (4, 4, 2, 8), (1, 1, 3, 8), (4, 1, 3, 8), (6, 1, 3, 3), (3, 1, 5, 8),
+                       (2, 1, 31, 8), (1, 1, 257, 8)]
 
 
 def test_transforms_match_block_scan_on_weighted_multisets():
@@ -316,16 +329,11 @@ def test_transforms_match_block_scan_on_weighted_multisets():
     for code, points, table, weights in _weighted_samples(TRANSFORM_MULTISETS, 81,
                                                           (1, 3, 12, 40, 150)):
         expected = _min_disagreement(code, points, table, weights)
-        assert nearest_codeword(code, table, weights, points) == expected
-        # the same multiset as full-cube arrays with weight zero off the sample
-        full_table = np.zeros(1 << code.k, dtype=table.dtype)
-        full_weights = np.zeros(1 << code.k, dtype=np.int64)
-        full_table[points], full_weights[points] = table, weights
-        assert nearest_codeword(code, full_table, full_weights) == expected
+        assert nearest_codeword(code, *_on_full_cube(code, points, table, weights)) == expected
         tied += sum(int(np.count_nonzero(_weighted_counts(block != table, weights) == expected[1]))
                     for _, block in code.iter_value_blocks(points)) > 1
         cases += 1
-    assert cases == 10 * 8 + 4 * 3 and tied > cases // 3
+    assert cases == 13 * 8 + 4 * 3 and tied > cases // 3
 
 
 def _group_sizes(k, p):
@@ -390,26 +398,28 @@ def test_exact_delta_d_on_both_table_dtypes(p):
 def test_plans_are_keyed_by_code_and_read_only():
     # Alternate the codes so that every call after the first of its key
     # reads a plan built for an earlier call, never one of another key.
-    keys = [(3, 2, 2), (5, 2, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)]
+    keys = [(3, 2, 2), (5, 2, 2), (3, 1, 2), (4, 3, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3),
+            (5, 1, 3)]
     streams = [_weighted_samples([key + (6,)], seed=91 + i) for i, key in enumerate(keys)]
     cases = 0
     for round_cases in zip(*streams):
         for code, points, table, weights in round_cases:
             expected = _min_disagreement(code, points, table, weights)
-            assert nearest_codeword(code, table, weights, points) == expected
+            assert nearest_codeword(code, *_on_full_cube(code, points, table, weights)) == expected
             cases += 1
     assert cases == 6 * len(keys)
     plans = [oracle._coset_plan(k, d) for k, d, p in keys if p == 2]
     plans += [oracle._histogram_plan(k, p) for k, d, p in keys if p > 2]
     arrays = [a for plan in plans for a in plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 3 * 3 + 2 * 2 + 2 * 2  # d = 1 cosets have no signs
+    assert len(arrays) == 4 * 3 + 2 * 2 + 2 * 2  # d = 1 cosets have no signs
     matrices = {(p, g): oracle._group_matrix(p, g)
                 for k, d, p in keys if p > 2 for g in _group_sizes(k, p)}
     assert sorted(matrices) == [(3, 1), (3, 3), (3, 4)]  # k = 3 in one step, k = 5 in 4 + 1
     assert not any(a.flags.writeable for a in arrays + list(matrices.values()) + [oracle._HADAMARD])
 
 
-@pytest.mark.parametrize("k, d, p", [(7, 2, 2), (8, 2, 2), (5, 2, 3), (13, 1, 5), (2, 1, 257)])
+@pytest.mark.parametrize(
+    "k, d, p", [(7, 2, 2), (8, 2, 2), (5, 3, 2), (5, 2, 3), (13, 1, 5), (2, 1, 257)])
 def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
     def unreachable(*args, **kwargs):
         raise AssertionError("a nearest-codeword path ran past the budget check")

@@ -66,7 +66,7 @@ REFERENCES = {
         "the tie-break of nearest_codeword",
         "test_oracle.py::test_nearest_tie_break_is_lexicographic"),
     "closest_poly_on_set": (
-        "tolerant_test's weighted nearest codeword on the sampled points",
+        "tolerant_test's step 3, which reads f at the query masks, from the restricted table",
         "test_tolerant.py::test_tolerant_report_matches_the_table_reference"),
 }
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridcode.cube import CubeFunction, apply_restriction, corrupt, query_mask
+from gridcode.cube import (CubeFunction, apply_restriction, corrupt, query_mask,
+                           restriction_query_masks)
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode.oracle import CodeEnumeration, _min_disagreement, exact_delta_d
@@ -13,7 +14,7 @@ from gridcode.poly import from_truth_table, random_poly
 from gridcode.tester import amplified_test
 from gridcode.tolerant import (
     TolerantParams,
-    _closest_on_points,
+    _closest_on_sample,
     closest_poly_on_set,
     restricted_min_distance,
     sample_query_set,
@@ -293,5 +294,45 @@ def test_closest_on_points_matches_block_scan(k, d, p):
         table = np.asarray([values[pt] for pt in points], dtype=np.uint8 if p < 256 else np.int64)
         weight_vec = np.asarray([weights[pt] for pt in points], dtype=np.int64)
         best, count = _min_disagreement(code, points, table, weight_vec)
-        poly, mu = _closest_on_points(values, dict(weights), code)
+        poly, mu, read = _closest_on_sample(code, sample, lambda pts: [values[pt] for pt in pts])
         assert (code.index_of(poly), mu) == (best, Fraction(count, len(sample)))
+        assert read == len(points)
+
+
+class _RecordingReads:
+    """f read through ``values_at``, with every call's masks recorded."""
+
+    def __init__(self, f):
+        self.n, self.field, self.f, self.calls = f.n, f.field, f, []
+
+    def values_at(self, masks):
+        self.calls.append(list(masks))
+        return self.f.values_at(masks)
+
+
+@pytest.mark.parametrize("d, p, replacement", [(1, 2, True), (2, 2, True), (1, 3, False)])
+def test_tolerant_reads_each_distinct_sampled_point_once(d, p, replacement):
+    # Past the screen, step 3 reads f in one call: once at the query mask of
+    # each distinct sampled point, in ascending order of the points, and the
+    # report counts the screen's queries plus those reads.
+    field = PrimeField(p)
+    params = TolerantParams.desk(d, Fraction(2, 100), Fraction(2, 10), k=d + 4, m=20,
+                                 replacement=replacement)
+    screen = params.intolerant_reps * params.intolerant.queries_per_run
+    rng = random.Random(16 + d + p)
+    repeats = 0
+    for _ in range(6):
+        f = _RecordingReads(random_poly(10, d, field, rng).truth_table())
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        report = tolerant_test(f, params, rng)
+        assert report.intolerant_accepted
+        assert amplified_test(f.f, params.intolerant, params.intolerant_reps, replay)
+        masks = restriction_query_masks(sample_uniform_restriction(10, params.k, replay))
+        sample = sample_query_set(params.k, params.m, replay, params.replacement)
+        distinct = sorted(set(sample))
+        assert f.calls[-1] == [masks[pt] for pt in distinct]
+        assert sum(map(len, f.calls[:-1])) == screen
+        assert report.queries_used == screen + len(distinct) == sum(map(len, f.calls))
+        repeats += len(distinct) < len(sample)
+    assert repeats > 0 or not replacement
