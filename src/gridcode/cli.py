@@ -486,7 +486,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         params["delta1"] = _fraction("--delta1", args.delta1)
         params["delta2"] = _fraction("--delta2", args.delta2)
         k = tolerant.desk_k(args.d, args.p) if args.k is None else args.k
-        desk = tolerant.TolerantParams.desk(args.d, params["delta1"], params["delta2"], k=k, m=args.m)
+        desk = tolerant.TolerantParams.desk(args.d, params["delta1"], params["delta2"], k=k,
+                                            m=args.m, replacement=args.replacement)
         params["k"], params["m"] = desk.k, desk.m
     return ExperimentConfig(sub, params, args.seed, args.trials, args.out, args.format)
 

@@ -6,11 +6,15 @@ its image under a -> 1-2a.  The core question: is the all-ones vector a linear
 combination of at most t nearly balanced vectors?  Over Q a successful
 combination carries a Cramer certificate (integers a_i, b with |a_i|, |b|
 bounded by t!), and the hard erased-linear-function distribution turns the
-negative answer into a concrete adversarial oracle for decoders.
+negative answer into a concrete adversarial oracle for decoders.  Whether a
+subset spans depends only on its set of coordinate patterns; solvability by
+pattern set, and the scan's table of it, are cached for the process with
+``functools.cache``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,51 +136,39 @@ def _pattern_key(subset: tuple[int, ...], n: int) -> int:
     return key
 
 
-# Solvability of every pattern system met in this process, keyed by
-# (p or None, affine, u, key): nothing else enters it, and there are at most
-# 3 + 15 + 255 nonzero keys with u <= 3 per field and mode.
-_SOLVABLE: dict[tuple, bool] = {}
-
 # Subsets per block of the numpy span scan; bounds its mask buffer.
 _SCAN_BLOCK = 1 << 16
 
 
-class _PatternOracle:
-    """Solvability of pattern systems by (size, pattern set), memoised for
-    the whole process."""
-
-    def __init__(self, field, affine: bool):
-        self.field = field
-        self.affine = affine
-        self._memo_prefix = (None if field is None else field.p, affine)
-
-    def solvable(self, key: int, u: int) -> bool:
-        ck = (*self._memo_prefix, u, key)
-        hit = _SOLVABLE.get(ck)
-        if hit is None:
-            rows = _rows_from_key(key, u)
-            hit = _solve_pattern_system(rows, self.field, self.affine)[0]
-            _SOLVABLE[ck] = hit
-        return hit
-
-    def table(self, u: int) -> np.ndarray:
-        """Solvability of all 2^(2^u) keys; key 0 (no pattern) reads False."""
-        table = np.zeros(1 << (1 << u), dtype=bool)
-        for key in range(1, len(table)):
-            table[key] = self.solvable(key, u)
-        return table
+@functools.cache
+def _solvable(field: PrimeField | None, affine: bool, u: int, key: int) -> bool:
+    """Whether the pattern system of size u and pattern set ``key`` is
+    solvable; memoised for the process, at most 3 + 15 + 255 nonzero keys
+    with u <= 3 per field and mode."""
+    return _solve_pattern_system(_rows_from_key(key, u), field, affine)[0]
 
 
-def _scan_combinations(candidates, size, n, oracle: _PatternOracle):
+@functools.cache
+def _solvable_table(field: PrimeField | None, affine: bool, u: int) -> np.ndarray:
+    """Solvability of all 2^(2^u) keys, read-only and built once per process;
+    key 0 (no pattern) reads False."""
+    table = np.zeros(1 << (1 << u), dtype=bool)
+    for key in range(1, len(table)):
+        table[key] = _solvable(field, affine, u, key)
+    table.flags.writeable = False
+    return table
+
+
+def _scan_combinations(candidates, size, n, field, affine):
     """First spanning subset in combination order, one subset at a time (the
     reference for the numpy scan, and the path for n > 64)."""
     for subset in itertools.combinations(candidates, size):
-        if oracle.solvable(_pattern_key(subset, n), size):
+        if _solvable(field, affine, size, _pattern_key(subset, n)):
             return subset
     return None
 
 
-def _scan_blocks(candidates, size, n, oracle: _PatternOracle):
+def _scan_blocks(candidates, size, n, field, affine):
     """First spanning subset in combination order, by numpy (n <= 64, size <= 3).
 
     Pattern (b_1, ..., b_u) occurs in a subset iff some coordinate reads -1
@@ -185,13 +177,13 @@ def _scan_blocks(candidates, size, n, oracle: _PatternOracle):
     order from ``triu_indices``.  A triple is a first member plus a later
     pair, and the pairs after a first member are a suffix of the pair order,
     so the pair intersections are computed once and each first member ANDs a
-    slice of them.  Keys are looked up in the oracle's table, one block of at
-    most ``_SCAN_BLOCK`` subsets at a time.
+    slice of them.  Keys are looked up in ``_solvable_table``, one block of
+    at most ``_SCAN_BLOCK`` subsets at a time.
     """
     masks = np.asarray(candidates, dtype=np.uint64)
     full = np.uint64((1 << n) - 1)
     minus = masks & full
-    table = oracle.table(size)
+    table = _solvable_table(field, affine, size)
     if size == 1:
         found = _first_hit(table, np.stack([minus != full, minus != 0]))
         return None if found is None else (candidates[found],)
@@ -271,12 +263,12 @@ def _triple_blocks(count: int):
         yield block
 
 
-def _find_spanning_subset(candidates, size, n, oracle: _PatternOracle):
+def _find_spanning_subset(candidates, size, n, field, affine):
     """First subset of the given size (in combination order) spanning the
     target, or None.  Sizes up to 3 at n <= 64 use the numpy scan."""
     if size <= 3 and n <= 64:
-        return _scan_blocks(candidates, size, n, oracle)
-    return _scan_combinations(candidates, size, n, oracle)
+        return _scan_blocks(candidates, size, n, field, affine)
+    return _scan_combinations(candidates, size, n, field, affine)
 
 
 def t_span_contains(
@@ -306,19 +298,27 @@ def t_span_contains(
         raise ValueError(f"t must be at least 1, got {t}")
     if t > len(candidates):
         raise ValueError("t cannot exceed the candidate count")
-    work = sum(math.comb(len(candidates), u) for u in range(1, t + 1))
+    # Python prints no int past 4,300 digits: the sum stops past 10^100 and
+    # the budget, and a count past 10^100 is not printed
+    work, term, cap = 0, 1, max(budget, 10**100)
+    for u in range(1, t + 1):
+        term = term * (len(candidates) - u + 1) // u  # C(len(candidates), u)
+        work += term
+        if work > cap:
+            break
     if work > budget:
+        required = work if work <= 10**100 else None
+        count = "more than 10^100" if required is None else required
         raise BudgetExceededError(
-            f"span scan needs {work} subsets (budget {budget})",
-            required=work,
+            f"span scan needs {count} subsets (budget {budget})",
+            required=required,
             budget=budget,
         )
     if target != ALL_PLUS_ONES:
         raise ValueError("only the all-plus-ones target is supported")
 
-    oracle = _PatternOracle(field, affine)
     for size in range(1, t + 1):
-        subset = _find_spanning_subset(candidates, size, n, oracle)
+        subset = _find_spanning_subset(candidates, size, n, field, affine)
         if subset is None:
             continue
         rows = sorted(_rows_from_key(_pattern_key(subset, n), size))
@@ -340,7 +340,8 @@ class HardFunction:
     Off the erased set E = {x : |sum x_i| >= 2n/s} the value is
     l(x) = sum a_i x_i; on E it is 0.  Coefficients are uniform residues over
     F_p, or uniform integers in [-N, N] with N = n^ceil(ln s/ln ln s) over
-    characteristic 0.
+    characteristic 0.  Decoding is proved hard over characteristic 0 or at
+    least n^2.
     """
 
     n: int
@@ -349,8 +350,11 @@ class HardFunction:
     coefficients: tuple[int, ...]
 
     def linear_value(self, mask: int):
-        """l at the point encoded by the mask (before erasure)."""
-        return _linear_value(self.coefficients, self.field, mask)
+        """l at the point encoded by the mask (before erasure), mod p over F_p."""
+        total = 0
+        for j, a in enumerate(self.coefficients):
+            total += -a if (mask >> j) & 1 else a
+        return total if self.field is None else total % self.field.p
 
     def value(self, mask: int):
         """0 on the erased set, else l: residues over F_p, integers over Q."""
@@ -377,16 +381,8 @@ def erased_fraction_bound(n: int, s: int) -> float:
     return 2.0 * math.exp(-n / (2.0 * s * s))
 
 
-def sample_hard_function(
-    n: int, s: int, field: PrimeField | None, rng, require_large_char: bool = False
-) -> HardFunction:
-    """Draw coefficients; ``value`` erases every imbalanced input to 0.
-
-    ``require_large_char`` enforces the regime where decoding is provably
-    hard: characteristic 0 or at least n^2.
-    """
-    if require_large_char and field is not None and field.p < n * n:
-        raise ValueError("hard regime needs characteristic at least n^2")
+def sample_hard_function(n: int, s: int, field: PrimeField | None, rng) -> HardFunction:
+    """Draw coefficients; ``value`` erases every imbalanced input to 0."""
     if field is not None:
         coefficients = tuple(rng.randrange(field.p) for _ in range(n))
     else:
@@ -397,14 +393,6 @@ def sample_hard_function(
         width = n ** exponent
         coefficients = tuple(rng.randint(-width, width) for _ in range(n))
     return HardFunction(n, s, field, coefficients)
-
-
-def _linear_value(coefficients, field: PrimeField | None, mask: int):
-    """sum a_j x_j at the +-1 point encoded by the mask, mod p over F_p."""
-    total = 0
-    for j, a in enumerate(coefficients):
-        total += -a if (mask >> j) & 1 else a
-    return total if field is None else total % field.p
 
 
 @dataclass(frozen=True)

@@ -476,7 +476,8 @@ def exact_delta_d(f: CubeFunction, d: int, budget: int = CODEWORD_BUDGET):
     return Fraction(count, 1 << f.n), code.poly_at(best)
 
 
-def certify_far(f: CubeFunction, d: int, bound, budget: int = CODEWORD_BUDGET) -> bool:
-    """True iff the exact distance to the degree-d code is at least ``bound``."""
-    _, _, count = _nearest(f, d, budget)
+def certify_far(f: CubeFunction, d: int, bound) -> bool:
+    """True iff the exact distance to the degree-d code is at least ``bound``;
+    the code's budget is ``CODEWORD_BUDGET``."""
+    _, _, count = _nearest(f, d, CODEWORD_BUDGET)
     return Fraction(count, 1 << f.n) >= Fraction(bound)

@@ -11,8 +11,10 @@ set bits of y.  Three samplers produce the same bucket-size distribution:
   * the cycle sampler (arrange all elements on a cycle entered at a uniform
     special element; each special element owns the arc up to the next special).
 
-``BUCKET_PROCESSES`` gives each its sizes sampler and exact enumerator, so the
-equivalence can be checked as an identity of rational distributions.
+``BUCKET_PROCESSES`` gives each its sizes sampler, the factors of its outcome
+count and its exact enumerator, so the equivalence can be checked as an
+identity of rational distributions; an enumeration past ``BUCKET_BUDGET``
+outcomes raises instead.
 ``uniform_buckets`` draws the i.i.d. uniform map of the tolerant tester and
 the decoder, whose buckets may be empty.
 """
@@ -231,14 +233,9 @@ def sample_buckets_direct_sizes(r: int, k: int, rng) -> tuple[int, ...]:
     return tuple(sorted(_parent_bucket_sizes(r, k, _sample_parents(r, k, rng))))
 
 
-def _parent_space_size(r: int, k: int) -> int:
-    return math.prod(range(k, r)) if r > k else 1
-
-
 def enumerate_parent_buckets(r: int, k: int):
     """Yield (labelled sizes, exact probability) over all parent functions."""
-    total = _parent_space_size(r, k)
-    weight = Fraction(1, total)
+    weight = Fraction(1, math.prod(range(k, r)))
     ranges = [range(i) for i in range(k, r)]
     for tail in itertools.product(*ranges):
         parents = [0] * k + list(tail)
@@ -299,32 +296,42 @@ def _recursive_bucket_sizes(r: int, k: int, rng) -> tuple[int, ...]:
 
 
 # Each bucket process by its ``--process`` name: (sorted-size sampler
-# (r, k, rng), count of its equally likely outcomes (r, k), enumerator (r, k)
-# of (sizes, probability) pairs over those outcomes).
+# (r, k, rng), factors (r, k) whose product counts its equally likely
+# outcomes, enumerator (r, k) of (sizes, probability) pairs over those
+# outcomes).
 BUCKET_PROCESSES = {
     "recursive": (_recursive_bucket_sizes,
-                  lambda r, k: math.prod(m * (m - 1) for m in range(k + 1, r + 1)),
+                  lambda r, k: (m * (m - 1) for m in range(k + 1, r + 1)),
                   enumerate_recursive_buckets),
-    "direct": (sample_buckets_direct_sizes, _parent_space_size, enumerate_parent_buckets),
-    "cycle": (sample_buckets_cycle_sizes, lambda r, k: k * math.factorial(r - 1),
+    "direct": (sample_buckets_direct_sizes, lambda r, k: range(k, r), enumerate_parent_buckets),
+    "cycle": (sample_buckets_cycle_sizes, lambda r, k: (k, *range(2, r)),
               enumerate_cycle_buckets),
 }
 
+# Most equally likely outcomes an exact bucket enumeration may walk.
+BUCKET_BUDGET = 10**7
 
-def exact_bucket_distribution(r: int, k: int, process: str = "direct",
-                              budget: int = 10**7) -> dict:
+
+def exact_bucket_distribution(r: int, k: int, process: str = "direct") -> dict:
     """Exact sorted-size distribution of a bucket process from its enumerator;
     raises BudgetExceededError if its count of equally likely outcomes
-    exceeds ``budget``."""
+    exceeds ``BUCKET_BUDGET``."""
     _check_buckets(r, k)
-    _, outcomes, enumerate_outcomes = BUCKET_PROCESSES[process]
-    total = outcomes(r, k)
-    if total > budget:
+    _, factors, enumerate_outcomes = BUCKET_PROCESSES[process]
+    # Python prints no int past 4,300 digits: the product stops past 10^100
+    total = 1
+    for factor in factors(r, k):
+        total *= factor
+        if total > 10**100:
+            break
+    if total > BUCKET_BUDGET:
         name = "parent" if process == "direct" else process
+        required = total if total <= 10**100 else None
+        count = "more than 10^100" if required is None else required
         raise BudgetExceededError(
-            f"{name} enumeration needs {total} cases (budget {budget})",
-            required=total,
-            budget=budget,
+            f"{name} enumeration needs {count} cases (budget {BUCKET_BUDGET})",
+            required=required,
+            budget=BUCKET_BUDGET,
         )
     return _aggregate(enumerate_outcomes(r, k))
 

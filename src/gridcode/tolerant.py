@@ -58,6 +58,8 @@ class TolerantParams:
             raise ValueError("k must exceed d")
         if self.m < 1:
             raise ValueError("need at least one sample point")
+        if not self.replacement and (self.m - 1) >> self.k:  # m > 2^k, 2^k unbuilt
+            raise ValueError(f"cannot draw {self.m} distinct points from {1 << self.k}")
         if self.intolerant_reps < 1:
             raise ValueError("need at least one intolerant repetition")
 

@@ -168,6 +168,30 @@ def test_budget_error_exits_nonzero(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("process", ["direct", "recursive", "cycle"])
+def test_exact_buckets_past_10_to_100_outcomes_exit_one(tmp_path, capsys, process):
+    out = tmp_path / "b.csv"
+    assert main(["buckets", "--r", "2000", "--k", "2", "--exact", "--process", process,
+                 "--out", str(out)]) == 1
+    name = "parent" if process == "direct" else process
+    assert capsys.readouterr().err == (
+        f"error: {name} enumeration needs more than 10^100 cases (budget 10000000)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "1/2"])
+def test_tolerant_without_replacement_needs_m_at_most_2_to_the_k(tmp_path, capsys, delta):
+    # k = 6 and the default m = 130: the run fails before any trial, whether
+    # or not its trials would reach the sample (at 1/2 every trial stops at
+    # the screen)
+    out = tmp_path / "t.csv"
+    assert main(["tolerant", "--n", "10", "--d", "1", "--delta1", "1/50", "--delta2", "1/5",
+                 "--delta", delta, "--no-replacement", "--trials", "2", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cannot draw 130 distinct points from 64\n"
+    assert not out.exists()
+
+
 def test_unknown_flags_rejected():
     with pytest.raises(SystemExit):
         main(["test", "--bogus", "1"])

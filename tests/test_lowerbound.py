@@ -98,23 +98,21 @@ def test_vectorized_and_generic_scans_agree():
     rng = random.Random(39)
     # n > 64 forces the generic path; embed an n<=64 instance by comparing
     # verdicts on identical candidate sets through both code paths instead.
-    from gridcode.lowerbound import _PatternOracle, _find_spanning_subset
+    from gridcode.lowerbound import _find_spanning_subset, _solvable
 
     vectors = sample_balanced_vectors(20, 4, 25, rng) + [
         _repeat_pattern((1, 1, -1), 20),
         _repeat_pattern((1, -1, 1), 20),
         _repeat_pattern((-1, 1, 1), 20),
     ]
-    oracle_a = _PatternOracle(None, False)
-    oracle_b = _PatternOracle(None, False)
-    fast = _find_spanning_subset(vectors, 3, 20, oracle_a)
+    fast = _find_spanning_subset(vectors, 3, 20, None, False)
     slow = None
     import itertools
 
     from gridcode.lowerbound import _pattern_key
 
     for subset in itertools.combinations(vectors, 3):
-        if oracle_b.solvable(_pattern_key(subset, 20), 3):
+        if _solvable(None, False, 3, _pattern_key(subset, 20)):
             slow = subset
             break
     assert fast == slow and fast is not None
@@ -139,6 +137,18 @@ def test_span_budget_guard():
     vectors = [0] * 300
     with pytest.raises(BudgetExceededError):
         t_span_contains(ALL_PLUS_ONES, vectors, 3, 8, budget=1000)
+
+
+def test_span_budget_names_a_count_past_10_to_100():
+    # C(15000, <=7500) has about 4,500 digits: the count stops past 10^100
+    with pytest.raises(BudgetExceededError) as caught:
+        t_span_contains(ALL_PLUS_ONES, [0] * 15000, 7500, 36)
+    assert str(caught.value) == "span scan needs more than 10^100 subsets (budget 1000000)"
+    assert caught.value.required is None
+    with pytest.raises(BudgetExceededError) as caught:
+        t_span_contains(ALL_PLUS_ONES, [0] * 300, 3, 8, budget=1000)
+    assert caught.value.required == 300 + math.comb(300, 2) + math.comb(300, 3)
+    assert str(caught.value) == f"span scan needs {caught.value.required} subsets (budget 1000)"
 
 
 def test_span_exponent_values():
@@ -248,15 +258,15 @@ F3 = PrimeField(3)
 
 
 def _reference_scan(candidates, size, n, field, affine):
-    from gridcode.lowerbound import _PatternOracle, _scan_combinations
+    from gridcode.lowerbound import _scan_combinations
 
-    return _scan_combinations(candidates, size, n, _PatternOracle(field, affine))
+    return _scan_combinations(candidates, size, n, field, affine)
 
 
 def _numpy_scan(candidates, size, n, field, affine):
-    from gridcode.lowerbound import _PatternOracle, _scan_blocks
+    from gridcode.lowerbound import _scan_blocks
 
-    return _scan_blocks(candidates, size, n, _PatternOracle(field, affine))
+    return _scan_blocks(candidates, size, n, field, affine)
 
 
 def _spanning_triple(n, rng):
@@ -345,13 +355,13 @@ def test_numpy_scan_hit_past_the_first_block():
 @pytest.mark.parametrize("field", [None, F2, F3])
 @pytest.mark.parametrize("affine", [False, True])
 def test_shared_memo_matches_fresh_solves(field, affine):
-    from gridcode.lowerbound import _PatternOracle, _rows_from_key, _solve_pattern_system
+    from gridcode.lowerbound import (_rows_from_key, _solvable, _solvable_table,
+                                     _solve_pattern_system)
 
-    oracle = _PatternOracle(field, affine)
     for u in (1, 2, 3):
-        table = oracle.table(u)
+        table = _solvable_table(field, affine, u)
         assert len(table) == 1 << (1 << u) and not table[0]
+        assert not table.flags.writeable and _solvable_table(field, affine, u) is table
         for key in range(1, 1 << (1 << u)):
             fresh = _solve_pattern_system(_rows_from_key(key, u), field, affine)[0]
-            assert oracle.solvable(key, u) == fresh == bool(table[key])
-            assert _PatternOracle(field, affine).solvable(key, u) == fresh
+            assert _solvable(field, affine, u, key) == fresh == bool(table[key])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -130,6 +131,22 @@ def test_exact_distribution_examples():
 def test_exact_distribution_budget():
     with pytest.raises(BudgetExceededError):
         exact_bucket_distribution(40, 2)
+
+
+@pytest.mark.parametrize("process", sorted(BUCKET_PROCESSES))
+def test_exact_distribution_budget_names_a_count_past_10_to_100(process):
+    # every process has more than 10^100 outcomes at r = 2000, a count that
+    # Python would not print in full
+    with pytest.raises(BudgetExceededError, match=r"needs more than 10\^100 cases "
+                                                  r"\(budget 10000000\)$") as caught:
+        exact_bucket_distribution(2000, 2, process)
+    assert caught.value.required is None and caught.value.budget == 10**7
+    # a count of at most 100 digits is given exactly: 2 * 3 * ... * 39 parent maps
+    with pytest.raises(BudgetExceededError) as caught:
+        exact_bucket_distribution(40, 2)
+    assert caught.value.required == math.factorial(39)
+    assert str(caught.value) == (
+        f"parent enumeration needs {math.factorial(39)} cases (budget 10000000)")
 
 
 def test_three_processes_agree_exactly():

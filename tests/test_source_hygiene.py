@@ -1,7 +1,7 @@
 """Static checks on the package source: no module-level import goes unused,
-every runtime dependency is imported, and every definition is reached from
-the command line or the benchmark, or listed below with the test that
-keeps it.
+every runtime dependency is imported, every definition is reached from the
+command line or the benchmark, or listed below with the test that keeps it,
+and every defaulted parameter is passed by some caller.
 
 Reachability is a closure over names.  Its roots are the console script's
 function, every name that a file under ``bench/`` reads, and every
@@ -284,6 +284,97 @@ def test_checker_reports_a_helper_that_only_a_test_reads(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text("from pkg.mod import only_tested\n")
     assert _unreached(_readers(tmp_path), package, ["main"]) == []
+
+
+def _callers(root: Path) -> list[Path]:
+    """The files whose calls count as passing a parameter: ``src/``,
+    ``bench/`` and, unlike the readers of the reachability rule, tests."""
+    return sorted(p for folder in ("src", "bench", "tests") for p in (root / folder).rglob("*.py"))
+
+
+def _calls(paths) -> dict[str, list[tuple[int, bool, set]]]:
+    """Callee name -> (positional count, whether one is ``*``-unpacked, the
+    keywords, None standing for a ``**`` unpacking) of each call in the
+    files; the callee's name is a called name or a called attribute."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (len(node.args), starred, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _functions(package: Path):
+    """(label, callee name, positional arguments a call skips, node) of every
+    module-level function and every method of a module-level class; calls
+    of a method skip ``self`` or ``cls``, and ``__init__`` is called through
+    its class."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.name}:{node.name}", node.name, 0, node
+            elif isinstance(node, ast.ClassDef):
+                for method in (m for m in node.body if isinstance(m, ast.FunctionDef)):
+                    callee = node.name if method.name == "__init__" else method.name
+                    yield f"{path.name}:{node.name}.{method.name}", callee, 1, method
+
+
+def _unpassed_defaults(callers, package: Path) -> list[str]:
+    """``label(parameter)`` for each defaulted parameter that no call passes.
+
+    A call passes a parameter by keyword, by ``**``, by position or by a
+    ``*``-unpacked positional argument.  Calls are matched by the callee's
+    name alone, so a same-named function elsewhere can hide a finding."""
+    calls = _calls(callers)
+    unpassed = []
+    for label, callee, skipped, node in _functions(package):
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        params = [(p.arg, i - skipped) for i, p in enumerate(positional) if i >= first]
+        params += [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+        for name, index in params:
+            if not any(name in keywords or None in keywords
+                       or (index is not None and (starred or count > index))
+                       for count, starred, keywords in calls.get(callee, [])):
+                unpassed.append(f"{label}({name})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed_defaults(_callers(ROOT), PACKAGE) == []
+
+
+def test_checker_reports_a_default_that_no_call_passes(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(textwrap.dedent("""\
+        def main(a=1, b=2, *, c=3, d=4):
+            return Box(5).scale(2) + helper(*[1])
+
+
+        def helper(x=0, y=0):
+            return x + y
+
+
+        class Box:
+            def __init__(self, size=1, tag=None):
+                self.size = size
+
+            def scale(self, factor=1, offset=0):
+                return self.size * factor + offset
+        """))
+    assert _unpassed_defaults(_callers(tmp_path), package) == [
+        "mod.py:main(a)", "mod.py:main(b)", "mod.py:main(c)", "mod.py:main(d)",
+        "mod.py:Box.__init__(tag)", "mod.py:Box.scale(offset)"]
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "main(0, d=1, **{})\nBox(1, 'x').scale(1, 2)\n")
+    assert _unpassed_defaults(_callers(tmp_path), package) == []
 
 
 def test_runtime_dependencies_are_imported():

@@ -162,6 +162,10 @@ def test_tolerant_params_validation():
     params = TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10))
     assert params.m == 124 + 6  # ceil(1/eps^2) + k^d with eps = 9/100 and k = 6
     assert params.threshold == Fraction(11, 100)
+    with pytest.raises(ValueError, match="cannot draw 130 distinct points from 64"):
+        TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10), replacement=False)
+    assert TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10), m=64,
+                               replacement=False).m == 64
 
 
 def test_restricted_min_distance_full_cube_is_2_to_minus_d():
