@@ -23,7 +23,7 @@ from .errors import BudgetExceededError, CapacityError
 from .field import PrimeField
 from .poly import CorruptedPoly, PolyPoints, random_poly, write_poly
 from .rand import derive_rng, derive_seed
-from .tester import TesterParams, run_test_once
+from .tester import RejectionEstimate, TesterParams, run_test_once
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def _test_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
 
 def run_test_command(config: ExperimentConfig) -> list[dict]:
     def row(rejections):
-        rate = rejections / config.trials
-        stderr = (rate * (1 - rate) / config.trials) ** 0.5
-        return {"rejections": rejections, "rate": f"{rate:.6f}", "stderr": f"{stderr:.6f}"}
+        estimate = RejectionEstimate(config.trials, rejections)
+        return {"rejections": rejections, "rate": f"{estimate.rate:.6f}",
+                "stderr": f"{estimate.stderr:.6f}"}
 
     return _per_delta(config, _test_chunk, "delta", row)
 

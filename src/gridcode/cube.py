@@ -49,14 +49,6 @@ class CubeFunction:
         self.field = field
         self.values = _to_residues(values, field.p)
 
-    @classmethod
-    def constant(cls, n: int, field: PrimeField, value: int = 0) -> "CubeFunction":
-        return cls(n, field, [value % field.p] * (1 << n))
-
-    @classmethod
-    def random(cls, n: int, field: PrimeField, rng) -> "CubeFunction":
-        return cls(n, field, [rng.randrange(field.p) for _ in range(1 << n)])
-
     def values_at(self, masks) -> list[int]:
         """The residues at the given point masks, in order."""
         values = self.values
@@ -72,14 +64,6 @@ class CubeFunction:
 
     def __repr__(self):
         return f"CubeFunction(n={self.n}, p={self.field.p})"
-
-
-def distance(f: CubeFunction, g: CubeFunction) -> Fraction:
-    """Fraction of points where f and g disagree, exact."""
-    if f.n != g.n or f.field.p != g.field.p:
-        raise ValueError("distance requires matching dimension and modulus")
-    diff = sum(a != b for a, b in zip(f.values, g.values))
-    return Fraction(diff, 1 << f.n)
 
 
 def corruption_offsets(n: int, p: int, delta, rng) -> dict[int, int]:

@@ -18,6 +18,9 @@ from .field import PrimeField, binomial_sum, row_reduce
 from .oracle import CodeEnumeration, code_fits
 from .poly import subsets_up_to
 
+# Largest code whose codewords verify_witness scans for one-point separation.
+SEPARATION_BUDGET = 10**6
+
 
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
@@ -126,11 +129,11 @@ class WitnessReport:
     separation_mode: str  # "exhaustive" or "implied"
 
 
-def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
+def verify_witness(witness: DualWitness) -> WitnessReport:
     """Check the three defining properties of a dual witness.
 
     One-point separation is checked exhaustively over the code when
-    p^C(k,<=d) fits the budget; pair differences range over nonzero
+    p^C(k,<=d) fits ``SEPARATION_BUDGET``; pair differences range over nonzero
     codewords, so scanning codewords covers every pair.  Otherwise it is
     implied by exact orthogonality with nonzero weights and flagged so.
     """
@@ -156,10 +159,10 @@ def verify_witness(witness: DualWitness, budget: int = 10**6) -> WitnessReport:
     size_ok = 0 < len(witness.support) <= binomial_sum(witness.k, witness.d) + 1
     nonzero_weights = all(witness.weights)
 
-    if code_fits(p, binomial_sum(witness.k, witness.d), budget):
+    if code_fits(p, binomial_sum(witness.k, witness.d), SEPARATION_BUDGET):
         separation_mode = "exhaustive"
         separation = True
-        code = CodeEnumeration(witness.k, witness.d, witness.field, budget=budget)
+        code = CodeEnumeration(witness.k, witness.d, witness.field, budget=SEPARATION_BUDGET)
         for _, block in code.iter_value_blocks(witness.support):
             # A codeword with exactly one nonzero value on the support is the
             # difference of a violating pair (and is itself nonzero).

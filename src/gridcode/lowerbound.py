@@ -77,17 +77,14 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _solve_pattern_system(rows: list[tuple[int, ...]], field: PrimeField | None,
-                          affine: bool):
-    """Solve <c, row> = 1 for all rows (plus sum c = 1 in affine mode), with 0
-    on the free columns: (True, coefficients, certificate), or (False, None,
-    None) if unsolvable.  The certificate is None except over Q (field None)
-    at full rank, where it is (numerators, denominator) by Cramer's rule.
+def _solve_pattern_system(rows: list[tuple[int, ...]], field: PrimeField | None):
+    """Solve <c, row> = 1 for all rows, with 0 on the free columns: (True,
+    coefficients, certificate), or (False, None, None) if unsolvable.  The
+    certificate is None except over Q (field None) at full rank, where it is
+    (numerators, denominator) by Cramer's rule.
     """
     u = len(rows[0])
     system = [list(row) + [1] for row in rows]
-    if affine:
-        system.append([1] * (u + 1))
     reduced, pivots = row_reduce(system, u, field)
     if any(row[-1] for row in reduced[len(pivots):]):
         return False, None, None
@@ -141,34 +138,34 @@ _SCAN_BLOCK = 1 << 16
 
 
 @functools.cache
-def _solvable(field: PrimeField | None, affine: bool, u: int, key: int) -> bool:
+def _solvable(field: PrimeField | None, u: int, key: int) -> bool:
     """Whether the pattern system of size u and pattern set ``key`` is
     solvable; memoised for the process, at most 3 + 15 + 255 nonzero keys
-    with u <= 3 per field and mode."""
-    return _solve_pattern_system(_rows_from_key(key, u), field, affine)[0]
+    with u <= 3 per field."""
+    return _solve_pattern_system(_rows_from_key(key, u), field)[0]
 
 
 @functools.cache
-def _solvable_table(field: PrimeField | None, affine: bool, u: int) -> np.ndarray:
+def _solvable_table(field: PrimeField | None, u: int) -> np.ndarray:
     """Solvability of all 2^(2^u) keys, read-only and built once per process;
     key 0 (no pattern) reads False."""
     table = np.zeros(1 << (1 << u), dtype=bool)
     for key in range(1, len(table)):
-        table[key] = _solvable(field, affine, u, key)
+        table[key] = _solvable(field, u, key)
     table.flags.writeable = False
     return table
 
 
-def _scan_combinations(candidates, size, n, field, affine):
+def _scan_combinations(candidates, size, n, field):
     """First spanning subset in combination order, one subset at a time (the
     reference for the numpy scan, and the path for n > 64)."""
     for subset in itertools.combinations(candidates, size):
-        if _solvable(field, affine, size, _pattern_key(subset, n)):
+        if _solvable(field, size, _pattern_key(subset, n)):
             return subset
     return None
 
 
-def _scan_blocks(candidates, size, n, field, affine):
+def _scan_blocks(candidates, size, n, field):
     """First spanning subset in combination order, by numpy (n <= 64, size <= 3).
 
     Pattern (b_1, ..., b_u) occurs in a subset iff some coordinate reads -1
@@ -183,7 +180,7 @@ def _scan_blocks(candidates, size, n, field, affine):
     masks = np.asarray(candidates, dtype=np.uint64)
     full = np.uint64((1 << n) - 1)
     minus = masks & full
-    table = _solvable_table(field, affine, size)
+    table = _solvable_table(field, size)
     if size == 1:
         found = _first_hit(table, np.stack([minus != full, minus != 0]))
         return None if found is None else (candidates[found],)
@@ -263,12 +260,12 @@ def _triple_blocks(count: int):
         yield block
 
 
-def _find_spanning_subset(candidates, size, n, field, affine):
+def _find_spanning_subset(candidates, size, n, field):
     """First subset of the given size (in combination order) spanning the
     target, or None.  Sizes up to 3 at n <= 64 use the numpy scan."""
     if size <= 3 and n <= 64:
-        return _scan_blocks(candidates, size, n, field, affine)
-    return _scan_combinations(candidates, size, n, field, affine)
+        return _scan_blocks(candidates, size, n, field)
+    return _scan_combinations(candidates, size, n, field)
 
 
 def t_span_contains(
@@ -278,7 +275,6 @@ def t_span_contains(
     n: int,
     field: PrimeField | None = None,
     budget: int = 10**6,
-    affine: bool = False,
 ) -> SpanResult:
     """Is the target a linear combination of at most t of the candidates?
 
@@ -289,9 +285,6 @@ def t_span_contains(
     the check cacheable by pattern set; over Q a positive answer includes an
     integer Cramer certificate (a_i, b) with coefficients a_i/b and
     |a_i|, |b| <= t!.
-
-    ``affine`` additionally constrains the combination coefficients to sum
-    to 1 (affine span); no factorial bound is asserted in that mode.
     """
     candidates = list(candidates)
     if t < 1:
@@ -318,13 +311,13 @@ def t_span_contains(
         raise ValueError("only the all-plus-ones target is supported")
 
     for size in range(1, t + 1):
-        subset = _find_spanning_subset(candidates, size, n, field, affine)
+        subset = _find_spanning_subset(candidates, size, n, field)
         if subset is None:
             continue
         rows = sorted(_rows_from_key(_pattern_key(subset, n), size))
-        ok, coefficients, certificate = _solve_pattern_system(rows, field, affine)
+        ok, coefficients, certificate = _solve_pattern_system(rows, field)
         assert ok
-        if field is None and certificate is not None and not affine:
+        if field is None and certificate is not None:
             numerators, det = certificate
             bound = math.factorial(size)
             if abs(det) > bound or any(abs(a) > bound for a in numerators):

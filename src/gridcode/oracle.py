@@ -160,20 +160,20 @@ class CodeEnumeration:
         mono = np.asarray(self.monomials, dtype=np.int64)
         return ((pts[None, :] & mono[:, None]) == mono[:, None]).astype(np.int64)
 
-    def iter_value_blocks(self, points, block_rows: int = _BLOCK_ROWS):
+    def iter_value_blocks(self, points):
         """Yield (start_index, values) with values of shape (rows, len(points)).
 
         Scanning blocks in order visits coefficient vectors lexicographically
         while keeping memory bounded.  The code is linear, so the rows of
         one block are a fixed table over the ``low`` least significant digits
         plus the values of the block's high-digit prefix; blocks hold p^low
-        rows with p^low <= block_rows.
+        rows with p^low <= ``_BLOCK_ROWS``.
         """
         points = list(points)
         p = self.field.p
         mono = self.monomial_matrix(points).astype(residue_dtype(p))
         low = 0
-        while low < self.dimension and p ** (low + 1) <= block_rows:
+        while low < self.dimension and p ** (low + 1) <= _BLOCK_ROWS:
             low += 1
         high = self.dimension - low
         suffix = _span_values(mono[high:], p)
@@ -452,10 +452,10 @@ def nearest_codeword(code: CodeEnumeration, table: np.ndarray,
     return _min_disagreement(code, range(1 << code.k), table, weights)
 
 
-def _nearest(f: CubeFunction, d: int, budget: int) -> tuple[CodeEnumeration, int, int]:
+def _nearest(f: CubeFunction, d: int) -> tuple[CodeEnumeration, int, int]:
     """(code, best codeword index, disagreement count) of f in the degree-d
     code; the code's budget check comes first."""
-    code = CodeEnumeration(f.n, d, f.field, budget=budget)
+    code = CodeEnumeration(f.n, d, f.field)
     dtype = residue_dtype(f.field.p)
     if dtype is np.uint8:
         # bytes() packs the residues in half the time asarray takes
@@ -466,18 +466,18 @@ def _nearest(f: CubeFunction, d: int, budget: int) -> tuple[CodeEnumeration, int
     return code, best, count
 
 
-def exact_delta_d(f: CubeFunction, d: int, budget: int = CODEWORD_BUDGET):
+def exact_delta_d(f: CubeFunction, d: int):
     """Exact distance from f to the degree-d code, with the nearest codeword.
 
     Ties break to the lexicographically smallest coefficient vector.  Raises
-    BudgetExceededError when p^C(n,<=d) exceeds the budget.
+    BudgetExceededError when p^C(n,<=d) exceeds ``CODEWORD_BUDGET``.
     """
-    code, best, count = _nearest(f, d, budget)
+    code, best, count = _nearest(f, d)
     return Fraction(count, 1 << f.n), code.poly_at(best)
 
 
 def certify_far(f: CubeFunction, d: int, bound) -> bool:
     """True iff the exact distance to the degree-d code is at least ``bound``;
     the code's budget is ``CODEWORD_BUDGET``."""
-    _, _, count = _nearest(f, d, CODEWORD_BUDGET)
+    _, _, count = _nearest(f, d)
     return Fraction(count, 1 << f.n) >= Fraction(bound)

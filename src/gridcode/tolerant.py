@@ -147,11 +147,11 @@ def _closest_on_sample(code: CodeEnumeration, sample,
 
 
 def closest_poly_on_set(
-    g: CubeFunction, sample: list[int], d: int, budget: int = CODEWORD_BUDGET
+    g: CubeFunction, sample: list[int], d: int
 ) -> tuple[MultilinearPoly, Fraction]:
     """Closest degree-d polynomial to g on a multiset of points, with its
-    multiset-weighted distance mu."""
-    code = CodeEnumeration(g.n, d, g.field, budget=budget)
+    multiset-weighted distance mu; the code's budget is ``CODEWORD_BUDGET``."""
+    code = CodeEnumeration(g.n, d, g.field)
     poly, mu, _ = _closest_on_sample(code, sample, g.values_at)
     return poly, mu
 

@@ -12,7 +12,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from gridcode.cube import CubeFunction, corrupt, distance
+from cube_util import distance, random_function
+from gridcode.cube import corrupt
 from gridcode.decoder import (
     DecoderParams,
     decode_from_ball,
@@ -72,7 +73,7 @@ def test_a02_query_complexity_exact():
     for d, k in ((1, 3), (2, 4)):
         params = TesterParams.desk(d, k)
         for _ in range(200):
-            f = CubeFunction.random(9, F2, rng)
+            f = random_function(9, F2, rng)
             transcript = run_test_once(f, params, rng)
             assert transcript.query_count == 1 << k
             assert len(set(transcript.query_masks)) == 1 << k

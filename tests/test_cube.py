@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cube_util import constant_function, distance, random_function
 from gridcode.cube import (
     CubeFunction,
     apply_restriction,
     corrupt,
-    distance,
     query_mask,
     read_truth_table,
     restriction_query_masks,
@@ -24,12 +24,12 @@ F5 = PrimeField(5)
 
 
 def test_distance_identity():
-    f = CubeFunction.random(4, F3, random.Random(0))
+    f = random_function(4, F3, random.Random(0))
     assert distance(f, f) == 0
 
 
 def test_distance_single_point():
-    f = CubeFunction.constant(3, F2, 0)
+    f = constant_function(3, F2, 0)
     g = CubeFunction(3, F2, [1, 0, 0, 0, 0, 0, 0, 0])
     assert distance(f, g) == Fraction(1, 8)
 
@@ -48,14 +48,14 @@ def test_distance_between_codewords_at_least_2_to_minus_d():
 
 def test_distance_shape_mismatch():
     with pytest.raises(ValueError):
-        distance(CubeFunction.constant(2, F2), CubeFunction.constant(3, F2))
+        distance(constant_function(2, F2), constant_function(3, F2))
     with pytest.raises(ValueError):
-        distance(CubeFunction.constant(2, F2), CubeFunction.constant(2, F3))
+        distance(constant_function(2, F2), constant_function(2, F3))
 
 
 def test_distance_is_a_metric_small():
     rng = random.Random(2)
-    fs = [CubeFunction.random(3, F3, rng) for _ in range(6)]
+    fs = [random_function(3, F3, rng) for _ in range(6)]
     for f in fs:
         for g in fs:
             d_fg = distance(f, g)
@@ -66,30 +66,30 @@ def test_distance_is_a_metric_small():
 
 
 def test_corrupt_zero_is_identity():
-    f = CubeFunction.random(5, F3, random.Random(3))
+    f = random_function(5, F3, random.Random(3))
     assert corrupt(f, 0, random.Random(4)) == f
 
 
 def test_corrupt_single_flip():
-    f = CubeFunction.random(5, F2, random.Random(5))
+    f = random_function(5, F2, random.Random(5))
     g = corrupt(f, Fraction(1, 32), random.Random(6))
     assert distance(f, g) == Fraction(1, 32)
 
 
 def test_corrupt_exact_flip_count():
-    f = CubeFunction.random(10, F3, random.Random(7))
+    f = random_function(10, F3, random.Random(7))
     g = corrupt(f, Fraction(5, 100), random.Random(8))
     assert distance(f, g) == Fraction(51, 1024)  # floor(0.05 * 1024) = 51
 
 
 def test_corrupt_changes_to_different_value():
-    f = CubeFunction.constant(6, F3, 1)
+    f = constant_function(6, F3, 1)
     g = corrupt(f, 1, random.Random(9))
     assert all(v != 1 for v in g.values)
 
 
 def test_apply_identity_restriction():
-    f = CubeFunction.random(4, F3, random.Random(10))
+    f = random_function(4, F3, random.Random(10))
     assert apply_restriction(f, restriction_from_phi(4, 4, range(4), 0)) == f
 
 
@@ -106,7 +106,7 @@ def test_apply_restriction_and_examples():
 
 
 def test_apply_restriction_dimension_mismatch():
-    f = CubeFunction.constant(3, F2)
+    f = constant_function(3, F2)
     with pytest.raises(ValueError):
         apply_restriction(f, restriction_from_phi(2, 1, [0, 0], 0))
 
@@ -133,7 +133,7 @@ def test_query_point_uniform_for_random_shift():
 
 
 def test_truth_table_round_trip():
-    f = CubeFunction.random(4, F3, random.Random(13))
+    f = random_function(4, F3, random.Random(13))
     text = "4 3\n" + " ".join(map(str, f.values)) + "\n"
     assert read_truth_table(io.StringIO(text)) == f
 
@@ -153,7 +153,7 @@ def test_cube_function_validation():
 
 def test_apply_restriction_consults_2k_points():
     rng = random.Random(14)
-    f = CubeFunction.random(7, F2, rng)
+    f = random_function(7, F2, rng)
     r = restriction_from_phi(7, 3, [0, 1, 2, 0, 1, 2, 0], rng.getrandbits(7))
     masks = restriction_query_masks(r)
     assert len(masks) == 8 and len(set(masks)) == 8

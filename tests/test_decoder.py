@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gridcode.cube import CubeFunction, corrupt, distance
+from cube_util import constant_function, distance
+from gridcode.cube import corrupt
 from gridcode.decoder import (
     FULL_BALANCED,
     ZERO_TAIL_ONLY,
@@ -270,10 +271,10 @@ def test_degradation_is_monotone_within_noise():
 
 def test_local_decode_validation():
     params = DecoderParams.for_degree(2, 1)
-    f = CubeFunction.constant(5, F3)
+    f = constant_function(5, F3)
     with pytest.raises(ValueError):
         local_decode(f, 0, params, random.Random(0))
-    f2 = CubeFunction.constant(5, F2)
+    f2 = constant_function(5, F2)
     with pytest.raises(ValueError):
         local_decode(f2, 1 << 5, params, random.Random(0))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from gridcode.dualwitness import (
     CapacityError,
+    SEPARATION_BUDGET,
     DualWitness,
     build_witness,
     default_window,
@@ -104,15 +105,15 @@ def test_verify_separation_modes():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_separation_mode_follows_the_code_budget(p):
-    # dimensions 5, 6 and 7 against a budget of p^6 and its neighbours: the
-    # scan is exhaustive exactly when the p^dim codewords fit the budget
-    witnesses = [build_witness(k, 1, PrimeField(p)) for k in (4, 5, 6)]
-    for budget in (p**6 - 1, p**6, p**6 + 1):
-        for w in witnesses:
-            fits = p ** binomial_sum(w.k, w.d) <= budget
-            report = verify_witness(w, budget)
-            assert report.separation_mode == ("exhaustive" if fits else "implied")
-            assert report.one_point_separation
+    # the d = 1 codes of the last k that fits SEPARATION_BUDGET and of the
+    # next k: the scan is exhaustive exactly when the p^(k+1) codewords fit
+    last = {2: 18, 3: 11}[p]
+    for k in (last, last + 1):
+        fits = p ** binomial_sum(k, 1) <= SEPARATION_BUDGET
+        assert fits == (k == last)
+        report = verify_witness(build_witness(k, 1, PrimeField(p)))
+        assert report.separation_mode == ("exhaustive" if fits else "implied")
+        assert report.one_point_separation
 
 
 def test_witness_scaling_invariance():

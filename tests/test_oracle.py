@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridcode.cube import CubeFunction, corrupt, distance
+from cube_util import constant_function, distance, random_function
+from gridcode.cube import CubeFunction, corrupt
 from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode import oracle
@@ -94,7 +95,7 @@ def test_exact_delta_single_flip():
 def test_exact_delta_zero_iff_low_degree():
     rng = random.Random(53)
     for _ in range(10):
-        f = CubeFunction.random(4, F3, rng)
+        f = random_function(4, F3, rng)
         delta, _ = exact_delta_d(f, 2)
         assert (delta == 0) == (from_truth_table(f).degree() <= 2)
 
@@ -112,7 +113,7 @@ def test_certify_far_examples():
 
 
 def test_exact_delta_budget_guard():
-    f = CubeFunction.constant(20, F3)
+    f = constant_function(20, F3)
     with pytest.raises(BudgetExceededError):
         exact_delta_d(f, 3)
 
@@ -170,7 +171,7 @@ def _degree_one_tables():
         n = 4 + i % 7
         kind = (i // 7) % 3
         if kind == 0:
-            yield CubeFunction.random(n, F2, rng)
+            yield random_function(n, F2, rng)
             continue
         f = random_poly(n, 1, F2, rng).truth_table()
         if kind == 2:
@@ -187,10 +188,11 @@ def test_degree_one_fast_path_matches_brute_force():
 
 
 def test_degree_one_fast_path_keeps_budget_guard():
-    f = CubeFunction.constant(10, F2)
+    # exact_delta_d builds its code before any path runs
     with pytest.raises(BudgetExceededError):
-        exact_delta_d(f, 1, budget=(1 << 11) - 1)
-    assert exact_delta_d(f, 1, budget=1 << 11)[0] == 0
+        CodeEnumeration(10, 1, F2, budget=(1 << 11) - 1)
+    assert CodeEnumeration(10, 1, F2, budget=1 << 11).size == 1 << 11
+    assert exact_delta_d(constant_function(10, F2), 1)[0] == 0
 
 
 def _reference_values(code, points):
@@ -212,17 +214,15 @@ def test_value_blocks_match_reference(k, d, p):
     sparse = full[1::3] if k > 1 else [1]
     for points in (full, sparse):
         expected = _reference_values(code, points)
-        for block_rows in (4, None):
-            kwargs = {} if block_rows is None else {"block_rows": block_rows}
-            starts, blocks = [], []
-            for start, block in code.iter_value_blocks(points, **kwargs):
-                starts.append(start)
-                blocks.append(block)
-            assert len(blocks) > 1 or code.size <= 8192
-            assert starts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
-            rows = np.concatenate(blocks)
-            assert rows.dtype == expected.dtype
-            assert np.array_equal(rows, expected)
+        starts, blocks = [], []
+        for start, block in code.iter_value_blocks(points):
+            starts.append(start)
+            blocks.append(block)
+        assert len(blocks) > 1 or code.size <= 8192
+        assert starts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+        rows = np.concatenate(blocks)
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
 
 
 def _weighted_samples(cases=((4, 1, 2, 6), (5, 2, 2, 6), (4, 1, 3, 6), (3, 2, 5, 6),
@@ -282,7 +282,7 @@ def _full_cube_cases():
         for n in sizes:
             for i in range(per_size):
                 if i % 3 == 0:
-                    yield d, field, CubeFunction.random(n, field, rng).values
+                    yield d, field, random_function(n, field, rng).values
                     continue
                 f = random_poly(n, d, field, rng).truth_table()
                 if i % 3 == 2:
@@ -431,10 +431,10 @@ def test_budget_guard_raises_before_any_path(monkeypatch, k, d, p):
     size = p ** sum(math.comb(k, i) for i in range(d + 1))
     message = f"code has {size} codewords (budget 10000000)"
     with pytest.raises(BudgetExceededError) as exc:
-        exact_delta_d(CubeFunction.constant(k, field), d)
+        exact_delta_d(constant_function(k, field), d)
     assert str(exc.value) == message and exc.value.required == size
     with pytest.raises(BudgetExceededError) as exc:
-        closest_poly_on_set(CubeFunction.constant(k, field), [0, 0, 0], d)
+        closest_poly_on_set(constant_function(k, field), [0, 0, 0], d)
     assert str(exc.value) == message
 
 

@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from gridcode.cube import CubeFunction
+from cube_util import random_function
 from gridcode.dualwitness import build_witness
 from gridcode.errors import CapacityError
 from gridcode.field import PrimeField
@@ -51,27 +51,25 @@ def test_dual_witnesses_pinned():
 def test_pattern_systems_mod_p_pinned():
     lines = []
     for p in (2, 3, 5):
-        for affine in (False, True):
-            for u in range(1, 4):
-                for key in range(1, 1 << (1 << u)):
-                    rows = _rows_from_key(key, u)
-                    result = _solve_pattern_system(rows, PrimeField(p), affine)
-                    lines.append(f"{p} {affine} {u} {key} {result}")
-    assert _digest(lines) == "f40348be4d45016ecf623480c11b048f14780637c0ffffa413881398802deb22"
+        for u in range(1, 4):
+            for key in range(1, 1 << (1 << u)):
+                rows = _rows_from_key(key, u)
+                result = _solve_pattern_system(rows, PrimeField(p))
+                lines.append(f"{p} False {u} {key} {result}")
+    assert _digest(lines) == "f880284f4dd432f269223542158e40cb6136edbbcb32de0cb849e66728411a24"
 
 
 def test_pattern_systems_over_q_pinned():
     lines = []
     solvable = 0
-    for affine in (False, True):
-        for u in range(1, 4):
-            for key in range(1, 1 << (1 << u)):
-                rows = _rows_from_key(key, u)
-                result = _solve_pattern_system(rows, None, affine)
-                solvable += result[0]
-                lines.append(f"None {affine} {u} {key} {result}")
-    assert (len(lines), solvable) == (546, 129)
-    assert _digest(lines) == "3418e1fe4dee5b7583b82c1e88f0902a4aa803c8c73ea3ba1cf62631c8c3ce6a"
+    for u in range(1, 4):
+        for key in range(1, 1 << (1 << u)):
+            rows = _rows_from_key(key, u)
+            result = _solve_pattern_system(rows, None)
+            solvable += result[0]
+            lines.append(f"None False {u} {key} {result}")
+    assert (len(lines), solvable) == (273, 80)
+    assert _digest(lines) == "b0a9cc8134f8d2fade273bb85e7a1cbf38629308fb57a7fc5b9e61ef0bc32531"
 
 
 def test_span_results_pinned():
@@ -80,18 +78,18 @@ def test_span_results_pinned():
     thirds = [((1 << 22) - 1) << (22 * i) for i in range(3)]
     lines = []
     found = 0
-    for field, affine in ((None, False), (F3, False), (None, True), (F3, True)):
+    for field in (None, F3):
         for n, s, count, t in ((4, 1, 8, 3), (5, 1, 10, 3), (6, 1, 12, 3),
                                (7, 1, 10, 4), (8, 2, 10, 3), (66, 1, 6, 3)):
             for seed in range(4):
                 vectors = sample_balanced_vectors(n, s, count, random.Random(1000 * n + seed))
                 if n > 64:
                     vectors += thirds
-                result = t_span_contains(0, vectors, t, n, field=field, affine=affine)
+                result = t_span_contains(0, vectors, t, n, field=field)
                 found += result.found
-                lines.append(f"{field} {affine} {n} {s} {t} {seed} {result}")
-    assert found == 52
-    assert _digest(lines) == "34a1a9206ceec40162bb591fca2beadbab8c2e21b16c51d84d13cb48ccb07276"
+                lines.append(f"{field} False {n} {s} {t} {seed} {result}")
+    assert found == 36
+    assert _digest(lines) == "0687d5dc6ada440d6b453a3a4bd1eb0e8cf057fd1e73457ce5fb8db97a6f75c4"
 
 
 def test_hard_functions_pinned():
@@ -114,7 +112,7 @@ def test_full_cube_exact_delta_pinned():
         matrix = np.concatenate([block for _, block in code.iter_value_blocks(range(1 << n))])
         ties = 0
         for seed in range(5):
-            f = CubeFunction.random(n, PrimeField(p), random.Random(100 * n + 10 * d + seed))
+            f = random_function(n, PrimeField(p), random.Random(100 * n + 10 * d + seed))
             counts = np.count_nonzero(matrix != np.asarray(f.values)[None, :], axis=1)
             ties += np.count_nonzero(counts == counts.min()) > 1
             delta, nearest = exact_delta_d(f, d)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_util import constant_function
 from gridcode.cube import CubeFunction
 from gridcode.field import PrimeField
 from gridcode.poly import (
@@ -40,7 +41,7 @@ def test_evaluate_affine_mod_5():
 
 
 def test_from_truth_table_constant():
-    f = CubeFunction.constant(3, F5, 4)
+    f = constant_function(3, F5, 4)
     p = from_truth_table(f)
     assert p.coeffs == {0: 4}
     assert p.degree() == 0

@@ -1,21 +1,25 @@
 """Static checks on the package source: no module-level import goes unused,
 every runtime dependency is imported, every definition is reached from the
 command line or the benchmark, or listed below with the test that keeps it,
-and every defaulted parameter is passed by some caller.
+and every defaulted parameter is passed by some call in the program.
 
 Reachability is a closure over names.  Its roots are the console script's
 function, every name that a file under ``bench/`` reads, and every
 module-level statement of the package other than imports and definitions.
 A reached definition reaches each module-level function or class whose name
 it reads (as a name, an attribute, an imported name or a string) and each
-class member whose name it reads as an attribute or a string.  A class
+class member whose name it reads as an attribute or a string.  A name that
+a function binds itself is a local and reads no definition.  A class
 reaches its own body but not its members.  Tests are not readers, so a
 helper that only tests call stays only if it is listed: in ``REFERENCES``
 when it is a slow, plain version of a fast path that a test compares with
 it, in ``PAPER_ARTIFACTS`` when a test reproduces a claim of the paper with
 it.  Listed definitions are roots too (a listed class with its members), so
 what they use is reached; a listed name that the roots reach without the
-tables must be delisted."""
+tables must be delisted.
+
+Both rules read the same files, ``src/`` and ``bench/``: a parameter that
+only tests pass is a constant of the program."""
 
 import ast
 import re
@@ -124,21 +128,61 @@ def test_module_level_imports_are_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def _bound(function) -> set[str]:
+    """The names a function or lambda binds itself: its parameters, the
+    names it stores, imports or catches, and the functions and classes it
+    defines, less those it declares ``global`` or ``nonlocal``.  Nested
+    functions, lambdas and classes are not entered."""
+    bound = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    free = set()
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free |= set(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if not isinstance(node, ast.Lambda):
+            stack += ast.iter_child_nodes(node)
+    return bound - free
+
+
 def _reads(nodes) -> tuple[set[str], set[str]]:
     """(every name the nodes read, the names they read as an attribute or a
     string).  Loaded and imported names are the first kind only, since a
     class member is read only through an attribute or a string; a dotted
-    string such as "Class.method" reads each of its parts."""
+    string such as "Class.method" reads each of its parts.  A name loaded in
+    the body of a function that binds it, or of a function nested in one,
+    reads that local and does not count."""
     names, attributes = set(), set()
-    for node in (n for root in nodes for n in ast.walk(root)):
+    stack = [(root, frozenset()) for root in nodes]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # decorators, defaults and annotations belong to the enclosing scope
+            body = node.body if isinstance(node.body, list) else [node.body]
+            outer = [*getattr(node, "decorator_list", ()), node.args,
+                     *filter(None, [getattr(node, "returns", None)])]
+            inner = local | _bound(node)
+            stack += [(n, local) for n in outer] + [(n, inner) for n in body]
+            continue
         if isinstance(node, ast.Attribute):
             attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             attributes |= {node.value, *node.value.split(".")}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            if node.id not in local:
+                names.add(node.id)
         elif isinstance(node, ast.ImportFrom):
             names |= {a.name for a in node.names}
+        stack += [(child, local) for child in ast.iter_child_nodes(node)]
     return names | attributes, attributes
 
 
@@ -286,12 +330,6 @@ def test_checker_reports_a_helper_that_only_a_test_reads(tmp_path):
     assert _unreached(_readers(tmp_path), package, ["main"]) == []
 
 
-def _callers(root: Path) -> list[Path]:
-    """The files whose calls count as passing a parameter: ``src/``,
-    ``bench/`` and, unlike the readers of the reachability rule, tests."""
-    return sorted(p for folder in ("src", "bench", "tests") for p in (root / folder).rglob("*.py"))
-
-
 def _calls(paths) -> dict[str, list[tuple[int, bool, set]]]:
     """Callee name -> (positional count, whether one is ``*``-unpacked, the
     keywords, None standing for a ``**`` unpacking) of each call in the
@@ -346,7 +384,7 @@ def _unpassed_defaults(callers, package: Path) -> list[str]:
 
 
 def test_every_defaulted_parameter_is_passed():
-    assert _unpassed_defaults(_callers(ROOT), PACKAGE) == []
+    assert _unpassed_defaults(READERS, PACKAGE) == []
 
 
 def test_checker_reports_a_default_that_no_call_passes(tmp_path):
@@ -368,13 +406,42 @@ def test_checker_reports_a_default_that_no_call_passes(tmp_path):
             def scale(self, factor=1, offset=0):
                 return self.size * factor + offset
         """))
-    assert _unpassed_defaults(_callers(tmp_path), package) == [
-        "mod.py:main(a)", "mod.py:main(b)", "mod.py:main(c)", "mod.py:main(d)",
-        "mod.py:Box.__init__(tag)", "mod.py:Box.scale(offset)"]
+    unpassed = ["mod.py:main(a)", "mod.py:main(b)", "mod.py:main(c)", "mod.py:main(d)",
+                "mod.py:Box.__init__(tag)", "mod.py:Box.scale(offset)"]
+    assert _unpassed_defaults(_readers(tmp_path), package) == unpassed
+    calls = "main(0, d=1, **{})\nBox(1, 'x').scale(1, 2)\n"
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text(
-        "main(0, d=1, **{})\nBox(1, 'x').scale(1, 2)\n")
-    assert _unpassed_defaults(_callers(tmp_path), package) == []
+    (tmp_path / "tests" / "test_mod.py").write_text(calls)
+    assert _unpassed_defaults(_readers(tmp_path), package) == unpassed
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(calls)
+    assert _unpassed_defaults(_readers(tmp_path), package) == []
+
+
+def test_checker_reports_a_name_that_a_bench_function_binds_locally(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(textwrap.dedent("""\
+        def main():
+            return 1
+
+
+        def distance():
+            return 2
+        """))
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""\
+        import pkg.mod
+
+
+        def job(pairs):
+            for distance, _ in pairs:
+                yield distance, lambda: distance + pkg.mod.main()
+        """))
+    readers = _readers(tmp_path)
+    assert _unreached(readers, package, ["main"]) == ["mod.py:distance"]
+    (tmp_path / "bench" / "run.py").write_text("from pkg.mod import distance\n")
+    assert _unreached(_readers(tmp_path), package, ["main"]) == []
 
 
 def test_runtime_dependencies_are_imported():

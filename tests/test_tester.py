@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gridcode.cube import CubeFunction, apply_restriction, corrupt
+from cube_util import constant_function, random_function
+from gridcode.cube import apply_restriction, corrupt
 from gridcode.field import PrimeField
 from gridcode.poly import from_truth_table, random_poly
 from gridcode.restrict import sample_restriction_recursive
@@ -96,7 +97,7 @@ def test_query_complexity_exact():
     rng = random.Random(21)
     params = TesterParams.desk(1, 3)
     for _ in range(30):
-        f = CubeFunction.random(8, F2, rng)
+        f = random_function(8, F2, rng)
         transcript = run_test_once(f, params, rng)
         assert transcript.query_count == 8 == params.queries_per_run
         assert len(set(transcript.query_masks)) == 8
@@ -221,6 +222,6 @@ def test_estimates_grow_with_corruption():
 
 def test_run_requires_enough_variables():
     params = TesterParams.desk(1, 4)
-    f = CubeFunction.constant(4, F2)
+    f = constant_function(4, F2)
     with pytest.raises(ValueError):
         run_test_once(f, params, random.Random(0))

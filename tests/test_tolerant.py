@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cube_util import constant_function, random_function
 from gridcode.cube import (CubeFunction, apply_restriction, corrupt, query_mask,
                            restriction_query_masks)
 from gridcode.errors import BudgetExceededError
@@ -111,15 +112,15 @@ def test_closest_poly_shrinking_sample_keeps_minimizer():
 
 
 def test_closest_poly_budget_guard():
-    g = CubeFunction.random(10, F3, random.Random(7))
+    g = random_function(10, F3, random.Random(7))
     with pytest.raises(BudgetExceededError):
-        closest_poly_on_set(g, [0, 1], 5, budget=10**4)
+        closest_poly_on_set(g, [0, 1], 5)  # 3^C(10,<=5) codewords, past 10^7
 
 
 def test_closest_poly_matches_oracle_on_full_cube():
     rng = random.Random(8)
     for _ in range(10):
-        f = CubeFunction.random(4, F2, rng)
+        f = random_function(4, F2, rng)
         h, mu = closest_poly_on_set(f, list(range(16)), 1)
         delta, nearest = exact_delta_d(f, 1)
         assert mu == delta
@@ -149,7 +150,7 @@ def test_tolerant_verdict_deterministic():
 
 def test_tolerant_needs_room_to_restrict():
     params = TolerantParams.desk(1, Fraction(1, 100), Fraction(1, 10), k=6, m=30)
-    f = CubeFunction.constant(5, F2)
+    f = constant_function(5, F2)
     with pytest.raises(ValueError):
         tolerant_test(f, params, random.Random(0))
 
