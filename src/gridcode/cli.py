@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import cube, decoder, dualwitness, lowerbound, oracle, restrict, tolerant
@@ -273,13 +273,7 @@ def run_witness_command(config: ExperimentConfig) -> dict:
         "support": [f"{point:0{p['k']}b}" for point in witness.support],
         "weights": witness.weights,
         "window": list(witness.window),
-        "report": {
-            "orthogonality": report.orthogonality,
-            "window": report.window,
-            "size": report.size,
-            "one_point_separation": report.one_point_separation,
-            "separation_mode": report.separation_mode,
-        },
+        "report": asdict(report),
     }
 
 

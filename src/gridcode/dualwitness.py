@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .field import PrimeField, binomial_sum, row_reduce
-from .oracle import CodeEnumeration, code_fits
 from .poly import subsets_up_to
-
-# Largest code whose codewords verify_witness scans for one-point separation.
-SEPARATION_BUDGET = 10**6
 
 
 def hamming(a: int, b: int) -> int:
@@ -42,7 +38,7 @@ def greedy_code(k: int, lo: int, hi: int, target_size: int) -> list[int]:
     """First-fit scan of {0,1}^k in ascending mask order, keeping a point iff
     its distance to every kept point lies in [lo, hi].
 
-    Raises CapacityError (with the count found) if the cube is exhausted
+    Raises CapacityError, naming the count found, if the cube is exhausted
     before ``target_size`` points are kept.
     """
     if not 0 < lo <= hi < k:
@@ -57,9 +53,14 @@ def greedy_code(k: int, lo: int, hi: int, target_size: int) -> list[int]:
                 return kept
     raise CapacityError(
         f"greedy window [{lo}, {hi}] packed only {len(kept)} of {target_size} "
-        f"points in {{0,1}}^{k}",
-        found=len(kept),
+        f"points in {{0,1}}^{k}"
     )
+
+
+def _evaluation_rows(k: int, d: int, points) -> list[list[int]]:
+    """The value of each monomial of size at most d at each point, one row
+    per monomial: row A, column y holds 1 iff A is a subset of y."""
+    return [[1 if (y & mono) == mono else 0 for y in points] for mono in subsets_up_to(k, d)]
 
 
 def _kernel_vector(rows: list[list[int]], field: PrimeField) -> list[int]:
@@ -110,12 +111,7 @@ def build_witness(
         hi = d_hi if hi is None else hi
     n_constraints = binomial_sum(k, d)
     universe = greedy_code(k, lo, hi, n_constraints + 1)
-    monomials = subsets_up_to(k, d)
-    rows = [
-        [1 if (y & mono) == mono else 0 for y in universe]
-        for mono in monomials
-    ]
-    solution = _kernel_vector(rows, field)
+    solution = _kernel_vector(_evaluation_rows(k, d, universe), field)
     support, weights = zip(*[(y, w) for y, w in zip(universe, solution) if w])
     return DualWitness(k, d, field, support, weights, (lo, hi))
 
@@ -126,28 +122,25 @@ class WitnessReport:
     window: bool
     size: bool
     one_point_separation: bool
-    separation_mode: str  # "exhaustive" or "implied"
 
 
 def verify_witness(witness: DualWitness) -> WitnessReport:
     """Check the three defining properties of a dual witness.
 
-    One-point separation is checked exhaustively over the code when
-    p^C(k,<=d) fits ``SEPARATION_BUDGET``; pair differences range over nonzero
-    codewords, so scanning codewords covers every pair.  Otherwise it is
-    implied by exact orthogonality with nonzero weights and flagged so.
+    Two codewords differing at exactly one support point y differ by a
+    codeword whose values on the support are a nonzero multiple of e_y, and
+    those value vectors are the row space of the evaluation rows.  A unit
+    vector lies in that space iff it is a row of the reduced echelon form
+    (its coefficient on each reduced row is its entry at that row's pivot),
+    so separation holds iff no reduced row has exactly one nonzero entry.
     """
     p = witness.field.p
-    monomials = subsets_up_to(witness.k, witness.d)
-    orthogonality = True
-    for mono in monomials:
-        total = 0
-        for y, w in zip(witness.support, witness.weights):
-            if (y & mono) == mono:
-                total += w
-        if total % p:
-            orthogonality = False
-            break
+    rows = _evaluation_rows(witness.k, witness.d, witness.support)
+    orthogonality = all(
+        sum(w for v, w in zip(row, witness.weights) if v) % p == 0 for row in rows
+    )
+    reduced, _ = row_reduce(rows, len(witness.support), witness.field)
+    separation = not any(sum(1 for v in row if v) == 1 for row in reduced)
 
     lo, hi = witness.window
     window_ok = all(
@@ -157,21 +150,4 @@ def verify_witness(witness: DualWitness) -> WitnessReport:
     )
 
     size_ok = 0 < len(witness.support) <= binomial_sum(witness.k, witness.d) + 1
-    nonzero_weights = all(witness.weights)
-
-    if code_fits(p, binomial_sum(witness.k, witness.d), SEPARATION_BUDGET):
-        separation_mode = "exhaustive"
-        separation = True
-        code = CodeEnumeration(witness.k, witness.d, witness.field, budget=SEPARATION_BUDGET)
-        for _, block in code.iter_value_blocks(witness.support):
-            # A codeword with exactly one nonzero value on the support is the
-            # difference of a violating pair (and is itself nonzero).
-            nonzero_counts = (block != 0).sum(axis=1)
-            if bool((nonzero_counts == 1).any()):
-                separation = False
-                break
-    else:
-        separation_mode = "implied"
-        separation = orthogonality and nonzero_weights
-
-    return WitnessReport(orthogonality, window_ok, size_ok, separation, separation_mode)
+    return WitnessReport(orthogonality, window_ok, size_ok, separation)

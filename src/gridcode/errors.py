@@ -16,7 +16,3 @@ class BudgetExceededError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """A greedy point-packing ran out of candidates before reaching its target."""
-
-    def __init__(self, message, found=0):
-        super().__init__(message)
-        self.found = found

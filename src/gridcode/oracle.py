@@ -26,7 +26,7 @@ depends on its input.  Every cached array is read-only.
 * ``_coset_plan(k, d)``, d >= 1 over F_2: the +-1 characters of every
   part h of degree at least 2, float64, 8 * 2^(#high + k) bytes (128 KiB at
   k = 4, d = 3; 256 KiB at k = 5, d = 2; 16 MiB at k = 6, d = 2, the
-  largest the default budget admits; none at d = 1), and the index digits
+  largest ``CODEWORD_BUDGET`` admits; none at d = 1), and the index digits
   of h and of the linear part, 8 * (2^#high + 2^k) bytes.
 * ``_histogram_plan(k, p)``, d = 1 over odd p: the point numbers and the
   residue shift table, 8 * (2^k + p^2) bytes.
@@ -105,7 +105,7 @@ class CodeEnumeration:
     fixes the monomial order.
     """
 
-    def __init__(self, k: int, d: int, field: PrimeField, budget: int = CODEWORD_BUDGET):
+    def __init__(self, k: int, d: int, field: PrimeField):
         if not 0 <= d <= k:
             raise ValueError(f"need 0 <= d <= k, got d={d}, k={k}")
         self.k = k
@@ -113,14 +113,14 @@ class CodeEnumeration:
         self.field = field
         self.dimension = binomial_sum(k, d)
         p = field.p
-        if not code_fits(p, self.dimension, budget):
+        if not code_fits(p, self.dimension, CODEWORD_BUDGET):
             # Python prints no int past 4,300 digits: name a count past 10^100 as a power
             required = p ** self.dimension if self.dimension * math.log10(p) <= 100 else None
             count = f"{p}^{self.dimension}" if required is None else required
             raise BudgetExceededError(
-                f"code has {count} codewords (budget {budget})",
+                f"code has {count} codewords (budget {CODEWORD_BUDGET})",
                 required=required,
-                budget=budget,
+                budget=CODEWORD_BUDGET,
             )
         self.monomials = _monomials(k, d)
         self.size = p ** self.dimension

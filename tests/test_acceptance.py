@@ -21,7 +21,7 @@ from gridcode.decoder import (
     zero_tail_balanced_set,
 )
 from gridcode.dualwitness import build_witness, verify_witness
-from gridcode.field import PrimeField, binomial_sum
+from gridcode.field import PrimeField
 from gridcode.lowerbound import (
     ALL_PLUS_ONES,
     sample_balanced_vectors,

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -349,9 +348,9 @@ ARTIFACT_SHA256 = [
     ("buckets --r 9 --k 1 --process cycle --trials 50 --seed 1",
      "05e8b960515cc40920485dcc4ab251c69e095d7523593ff1a8153c6e242fde20"),
     ("witness --k 4 --d 1 --p 2",
-     "d8a78c7e85b4704748c834dc3d998b4c8fd3f3c13a865fad5683cee506239541"),
+     "d406f8599f097f518acdc4b7f2a9b9d742ca489fc0f2c4de7f65b6722b47c85a"),
     ("witness --k 6 --d 2 --p 3",
-     "ca0f5cd80601d526320749ad65f512de6d13e28dd8ec7f18e092cae7998f9d4d"),
+     "fe3d8869dd7d6c5c6e6ac11c464139c7b20f55e7f06e00822cdb9fc26182f536"),
     # tolerant runs as the weighted block scan and the CLI's own copy of the
     # desk defaults for k and m wrote them: the README invocation (d = 1
     # over F_2), d = 2 over F_2, d = 1 over F_3 and d = 2 over F_3 (scan)

@@ -15,7 +15,7 @@ from gridcode.cube import (
     restriction_query_masks,
 )
 from gridcode.field import PrimeField
-from gridcode.poly import from_truth_table, random_poly
+from gridcode.poly import random_poly
 from reference_sampler import restriction_from_phi
 
 F2 = PrimeField(2)

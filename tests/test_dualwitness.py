@@ -1,11 +1,10 @@
 import itertools
-import math
+import random
 
 import pytest
 
 from gridcode.dualwitness import (
     CapacityError,
-    SEPARATION_BUDGET,
     DualWitness,
     build_witness,
     default_window,
@@ -15,6 +14,7 @@ from gridcode.dualwitness import (
     verify_witness,
 )
 from gridcode.field import PrimeField, binomial_sum
+from gridcode.oracle import CodeEnumeration
 from gridcode.poly import MultilinearPoly, subsets_up_to
 
 F2 = PrimeField(2)
@@ -46,9 +46,8 @@ def test_greedy_k10_quarter_window():
 
 
 def test_greedy_capacity_error_reports_found():
-    with pytest.raises(CapacityError) as info:
+    with pytest.raises(CapacityError, match=r"packed only 4 of 10 points"):
         greedy_code(4, 2, 2, 10)
-    assert 0 < info.value.found < 10
 
 
 def test_greedy_validates_window():
@@ -62,15 +61,12 @@ def test_greedy_validates_window():
 
 def test_greedy_capacity_meets_ball_bound():
     # First-fit packing with window [lo, k-lo] reaches at least
-    # 2^k / (2 C(k,<=lo)) points.
+    # 2^k / (2 C(k,<=lo)) points: asking for the bound, rounded up, does not
+    # exhaust the cube.
     for k in (8, 10, 12):
         lo, hi = asymptotic_window(k)
-        try:
-            found = len(greedy_code(k, lo, hi, 1 << k))
-        except CapacityError as exc:
-            found = exc.found
-        bound = (1 << k) / (2 * binomial_sum(k, lo))
-        assert found >= bound
+        bound = -(-(1 << k) // (2 * binomial_sum(k, lo)))
+        assert len(greedy_code(k, lo, hi, bound)) == bound
 
 
 def test_build_witness_d0():
@@ -98,22 +94,41 @@ def test_build_witness_small_cases():
         assert report.one_point_separation, (k, d, field.p, report)
 
 
-def test_verify_separation_modes():
-    assert verify_witness(build_witness(4, 1, F2)).separation_mode == "exhaustive"
-    assert verify_witness(build_witness(6, 2, F2)).separation_mode == "implied"
+def _scan_separates(support, k, d, field):
+    """One-point separation by scanning every codeword: no codeword has
+    exactly one nonzero value on the support."""
+    code = CodeEnumeration(k, d, field)
+    return not any(bool(((block != 0).sum(axis=1) == 1).any())
+                   for _, block in code.iter_value_blocks(support))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_separation_mode_follows_the_code_budget(p):
-    # the d = 1 codes of the last k that fits SEPARATION_BUDGET and of the
-    # next k: the scan is exhaustive exactly when the p^(k+1) codewords fit
-    last = {2: 18, 3: 11}[p]
-    for k in (last, last + 1):
-        fits = p ** binomial_sum(k, 1) <= SEPARATION_BUDGET
-        assert fits == (k == last)
-        report = verify_witness(build_witness(k, 1, PrimeField(p)))
-        assert report.separation_mode == ("exhaustive" if fits else "implied")
-        assert report.one_point_separation
+def test_rank_test_matches_the_codeword_scan():
+    rng = random.Random(24)
+    outcomes = set()
+    for p, k in ((2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (5, 3)):
+        field = PrimeField(p)
+        for d in range(k + 1):
+            if p ** binomial_sum(k, d) > 10**5:
+                continue
+            for _ in range(20):
+                support = tuple(rng.sample(range(1 << k), rng.randint(1, min(1 << k, 12))))
+                witness = DualWitness(k, d, field, support, (1,) * len(support), (1, k - 1))
+                separated = verify_witness(witness).one_point_separation
+                assert separated == _scan_separates(support, k, d, field), (p, k, d, support)
+                outcomes.add(separated)
+    assert outcomes == {True, False}
+
+
+def test_separation_does_not_depend_on_the_weights():
+    # Separation is a property of the support alone: a tampered weight breaks
+    # orthogonality but leaves every one-point pair as it was, also past the
+    # 3^13 codewords of a k = 12, d = 1 code over F_3.
+    w = build_witness(12, 1, F3)
+    weights = list(w.weights)
+    weights[0] = weights[0] * 2 % 3
+    report = verify_witness(DualWitness(w.k, w.d, w.field, w.support, tuple(weights), w.window))
+    assert not report.orthogonality
+    assert report.one_point_separation
 
 
 def test_witness_scaling_invariance():

@@ -8,7 +8,6 @@ from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode.lowerbound import (
     ALL_PLUS_ONES,
-    HardFunction,
     coordinate_sum,
     decoder_stress,
     erased_fraction_bound,

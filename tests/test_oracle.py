@@ -188,10 +188,11 @@ def test_degree_one_fast_path_matches_brute_force():
 
 
 def test_degree_one_fast_path_keeps_budget_guard():
-    # exact_delta_d builds its code before any path runs
-    with pytest.raises(BudgetExceededError):
-        CodeEnumeration(10, 1, F2, budget=(1 << 11) - 1)
-    assert CodeEnumeration(10, 1, F2, budget=1 << 11).size == 1 << 11
+    # exact_delta_d builds its code, whose check is code_fits, before any
+    # path runs; the 2^11 codewords of the k = 10, d = 1 code sit on the
+    # boundary
+    assert not oracle.code_fits(2, 11, (1 << 11) - 1)
+    assert oracle.code_fits(2, 11, 1 << 11)
     assert exact_delta_d(constant_function(10, F2), 1)[0] == 0
 
 

@@ -17,7 +17,6 @@ from gridcode.restrict import (
     enumerate_cycle_buckets,
     exact_bucket_distribution,
     min_bucket_tail,
-    sample_buckets_cycle_sizes,
     sample_buckets_direct_sizes,
     sample_restriction_direct,
     sample_restriction_recursive,

@@ -1,7 +1,8 @@
-"""Static checks on the package source: no module-level import goes unused,
-every runtime dependency is imported, every definition is reached from the
-command line or the benchmark, or listed below with the test that keeps it,
-and every defaulted parameter is passed by some call in the program.
+"""Static checks on the package source: no module-level import goes unused
+(there, in the tests or in the benchmark), every runtime dependency is
+imported, every definition is reached from the command line or the
+benchmark, or listed below with the test that keeps it, and every defaulted
+parameter is passed by some call in the program.
 
 Reachability is a closure over names.  Its roots are the console script's
 function, every name that a file under ``bench/`` reads, and every
@@ -123,7 +124,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, *sorted(TESTS.glob("*.py")),
+                                  *sorted((ROOT / "bench").glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
