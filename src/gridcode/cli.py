@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None,
                     help="prime for F_p; omit for exact rationals")
     sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=int, default=lowerbound.SPAN_BUDGET)
     common(sp, trials_default=20, format_default="json")
 
     sp = sub.add_parser("witness", help="build and verify a dual witness")

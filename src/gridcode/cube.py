@@ -112,14 +112,13 @@ def restriction_query_masks(r: Restriction) -> list[int]:
     """The query point x(y) for every y in {0,1}^k, as masks indexed by y.
 
     x_i(y) = y_{phi(i)} xor a_i.  Buckets are disjoint, so x(y) is the shift
-    mask xored with the union of the bucket masks of the set bits of y.
+    mask xored with the union of the bucket masks of the set bits of y.  The
+    list doubles once per bucket j: its second half, the points with bit j
+    of y set, is its first half xored with bucket j.
     """
-    buckets = r.buckets
-    out = [0] * (1 << r.k)
-    out[0] = r.shift_mask
-    for y in range(1, 1 << r.k):
-        low = y & -y
-        out[y] = out[y ^ low] ^ buckets[low.bit_length() - 1]
+    out = [r.shift_mask]
+    for bucket in r.buckets:
+        out += [x ^ bucket for x in out]
     return out
 
 

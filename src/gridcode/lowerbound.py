@@ -27,6 +27,9 @@ from .field import PrimeField, row_reduce
 
 ALL_PLUS_ONES = 0  # mask of the +1^n vector
 
+# Most subsets C(len(candidates), <=t) a span scan may check.
+SPAN_BUDGET = 10**6
+
 
 def coordinate_sum(mask: int, n: int) -> int:
     """Sum over Z of the +-1 coordinates encoded by the mask."""
@@ -133,8 +136,13 @@ def _pattern_key(subset: tuple[int, ...], n: int) -> int:
     return key
 
 
-# Subsets per block of the numpy span scan; bounds its mask buffer.
+# Triples per block of the numpy span scan; bounds its mask buffer.
 _SCAN_BLOCK = 1 << 16
+# Pairs per block of the scan over pairs.  Its temporaries (the patterns of a
+# block take 32 bytes per pair, 64 KB) stay below glibc's initial 128 KB mmap
+# threshold, so they come from the heap and a trial faults in no fresh pages
+# whatever the process freed before.
+_PAIR_BLOCK = 1 << 11
 
 
 @functools.cache
@@ -171,11 +179,11 @@ def _scan_blocks(candidates, size, n, field):
     Pattern (b_1, ..., b_u) occurs in a subset iff some coordinate reads -1
     exactly in the members with b = 1: the AND of those members' masks and
     the other members' complements is nonzero.  Pairs come in combination
-    order from ``triu_indices``.  A triple is a first member plus a later
+    order from ``_pair_indices``.  A triple is a first member plus a later
     pair, and the pairs after a first member are a suffix of the pair order,
     so the pair intersections are computed once and each first member ANDs a
     slice of them.  Keys are looked up in ``_solvable_table``, one block of
-    at most ``_SCAN_BLOCK`` subsets at a time.
+    at most ``_PAIR_BLOCK`` pairs or ``_SCAN_BLOCK`` triples at a time.
     """
     masks = np.asarray(candidates, dtype=np.uint64)
     full = np.uint64((1 << n) - 1)
@@ -184,10 +192,10 @@ def _scan_blocks(candidates, size, n, field):
     if size == 1:
         found = _first_hit(table, np.stack([minus != full, minus != 0]))
         return None if found is None else (candidates[found],)
-    second, third = np.triu_indices(len(masks), k=1)
+    second, third = _pair_indices(len(masks))
     if size == 2:
-        for lo in range(0, len(second), _SCAN_BLOCK):
-            block = slice(lo, lo + _SCAN_BLOCK)
+        for lo in range(0, len(second), _PAIR_BLOCK):
+            block = slice(lo, lo + _PAIR_BLOCK)
             pairs = _pair_patterns(minus[second[block]], minus[third[block]], full)
             found = _first_hit(table, pairs != 0)
             if found is not None:
@@ -213,6 +221,16 @@ def _scan_blocks(candidates, size, n, field):
                     return tuple(candidates[i] for i in members)
                 found -= hi - lo
     return None
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_indices(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two members of every pair of ``count`` candidates in combination
+    order (``np.triu_indices``), read-only and cached per count."""
+    pair = np.triu_indices(count, k=1)
+    for members in pair:
+        members.flags.writeable = False
+    return pair
 
 
 def _pair_patterns(a: np.ndarray, b: np.ndarray, full) -> np.ndarray:
@@ -274,7 +292,7 @@ def t_span_contains(
     t: int,
     n: int,
     field: PrimeField | None = None,
-    budget: int = 10**6,
+    budget: int = SPAN_BUDGET,
 ) -> SpanResult:
     """Is the target a linear combination of at most t of the candidates?
 

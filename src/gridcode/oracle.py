@@ -59,10 +59,11 @@ CODEWORD_BUDGET = 10**7
 _BLOCK_ROWS = 1 << 13
 
 
-def code_fits(p: int, dimension: int, budget: int) -> bool:
-    """Whether p^dimension codewords fit ``budget``; p >= 2, so a dimension
-    past the budget's bit length cannot fit and its power is never built."""
-    return dimension < budget.bit_length() and p ** dimension <= budget
+def code_fits(p: int, dimension: int) -> bool:
+    """Whether p^dimension codewords fit ``CODEWORD_BUDGET``; p >= 2, so a
+    dimension past the budget's bit length cannot fit and its power is never
+    built."""
+    return dimension < CODEWORD_BUDGET.bit_length() and p ** dimension <= CODEWORD_BUDGET
 
 
 def residue_dtype(p: int) -> type:
@@ -113,7 +114,7 @@ class CodeEnumeration:
         self.field = field
         self.dimension = binomial_sum(k, d)
         p = field.p
-        if not code_fits(p, self.dimension, CODEWORD_BUDGET):
+        if not code_fits(p, self.dimension):
             # Python prints no int past 4,300 digits: name a count past 10^100 as a power
             required = p ** self.dimension if self.dimension * math.log10(p) <= 100 else None
             count = f"{p}^{self.dimension}" if required is None else required

@@ -168,16 +168,36 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
     """The unique multilinear polynomial agreeing with f on the whole cube.
 
     Moebius inversion: alpha_S = sum_{T subseteq S} (-1)^{|S|-|T|} f(1_T),
-    computed in place one direction at a time.
+    computed in place one direction at a time, one subtraction mod p per
+    pair of ``_moebius_pairs``.
     """
     p = f.field.p
     coeffs = list(f.values)
-    for i in range(f.n):
-        bit = 1 << i
-        for m in range(1 << f.n):
-            if m & bit:
-                coeffs[m] = (coeffs[m] - coeffs[m ^ bit]) % p
+    for m, low in _moebius_pairs(f.n):
+        coeffs[m] = (coeffs[m] - coeffs[low]) % p
     return MultilinearPoly(f.n, f.field, {m: c for m, c in enumerate(coeffs) if c})
+
+
+# Largest cube, in points, whose Moebius pairs are cached: a table holds
+# n 2^(n-1) pairs (24,576 at n = 12); larger cubes stream them.
+_PAIR_TABLE_POINTS = 1 << 12
+_PAIR_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _moebius_pairs(n: int):
+    """The (m, m ^ bit) pairs of the Moebius pass on {0,1}^n: direction
+    bit = 1 << i for i = 0..n-1 in turn, and within it every m holding bit in
+    ascending order.  A tuple cached per n up to ``_PAIR_TABLE_POINTS``
+    points, a generator beyond."""
+    table = _PAIR_TABLES.get(n)
+    if table is not None:
+        return table
+    pairs = ((low | bit, low) for bit in (1 << i for i in range(n))
+             for low in range(1 << n) if not low & bit)
+    if 1 << n > _PAIR_TABLE_POINTS:
+        return pairs
+    table = _PAIR_TABLES[n] = tuple(pairs)
+    return table
 
 
 def identify_variables(poly: MultilinearPoly, i: int, j: int, b: int) -> MultilinearPoly:

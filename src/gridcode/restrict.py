@@ -17,6 +17,13 @@ identity of rational distributions; an enumeration past ``BUCKET_BUDGET``
 outcomes raises instead.
 ``uniform_buckets`` draws the i.i.d. uniform map of the tolerant tester and
 the decoder, whose buckets may be empty.
+
+The samplers of the tester, the decoder and the cycle process call
+``rng.getrandbits`` directly: a draw below m is ``getrandbits(m.bit_length())``
+repeated until it is below m, the algorithm of CPython's
+``Random._randbelow_with_getrandbits``, and a shuffle is the top-down swap
+loop of ``Random.shuffle``.  They make exactly the calls of ``randrange``,
+``sample`` and ``shuffle``, and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -70,14 +77,32 @@ class Restriction:
         return tuple(sorted(b.bit_count() for b in self.buckets))
 
 
+def _shuffle(items: list, getrandbits) -> None:
+    """Shuffle in place with the draws of CPython's ``Random.shuffle``: from
+    the top position down, the position j drawn below top + 1 (as
+    ``getrandbits((top + 1).bit_length())`` repeated until it is at most top)
+    swaps with top."""
+    for top in range(len(items) - 1, 0, -1):
+        bits = (top + 1).bit_length()
+        j = getrandbits(bits)
+        while j > top:
+            j = getrandbits(bits)
+        items[top], items[j] = items[j], items[top]
+
+
 def uniform_buckets(n: int, k: int, rng) -> list[int]:
     """The bucket masks of an i.i.d. uniform map [n] -> [k]: variable i, in
-    order, joins the bucket drawn by ``rng._randbelow(k)``, the one call
-    ``rng.randrange(k)`` makes.  Buckets may be empty."""
-    randbelow = rng._randbelow
+    order, joins the bucket drawn as ``getrandbits(k.bit_length())`` repeated
+    until it is below k, the calls of ``rng.randrange(k)``.  Buckets may be
+    empty."""
+    getrandbits = rng.getrandbits
+    bits = k.bit_length()
     buckets = [0] * k
     for i in range(n):
-        buckets[randbelow(k)] |= 1 << i
+        j = getrandbits(bits)
+        while j >= k:
+            j = getrandbits(bits)
+        buckets[j] |= 1 << i
     return buckets
 
 
@@ -89,11 +114,11 @@ def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
     outputs and a uniform complement per survivor finish the job.  The random
     calls are those of ``rng.sample(survivors, 2)`` and ``rng.getrandbits(1)``
     per round, then ``rng.shuffle`` of the outputs and one ``getrandbits(1)``
-    per survivor.
+    per survivor, each bounded draw and the shuffle written out with
+    ``getrandbits`` as the module docstring describes.
     """
     if not n > k >= 1:
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
-    randbelow = rng._randbelow
     getrandbits = rng.getrandbits
     survivors = list(range(n))
     # members[v]: the variables merged into survivor v, v among them;
@@ -101,19 +126,25 @@ def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
     members = [1 << v for v in range(n)]
     odd = [0] * n
     for m in range(n, k, -1):
-        # The positions rng.sample(survivors, 2) picks, from the same
-        # randbelow calls as CPython's Random.sample: up to 21 elements it
-        # draws from a pool whose vacancy is refilled by the last element;
-        # above that it redraws the second position until it differs.
-        i = randbelow(m)
+        # The positions rng.sample(survivors, 2) picks, from the same draws
+        # as CPython's Random.sample: up to 21 elements it draws from a pool
+        # whose vacancy is refilled by the last element; above that it
+        # redraws the second position until it differs.
+        bits = m.bit_length()
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
         if m <= 21:
-            j = randbelow(m - 1)
+            bits = (m - 1).bit_length()
+            j = getrandbits(bits)
+            while j >= m - 1:
+                j = getrandbits(bits)
             if j == i:
                 j = m - 1
         else:
-            j = randbelow(m)
-            while j == i:
-                j = randbelow(m)
+            j = getrandbits(bits)
+            while j >= m or j == i:
+                j = getrandbits(bits)
         kept = survivors[i]
         removed = survivors.pop(j)
         # x_removed := flip xor x_kept complements the removed class, relative
@@ -122,7 +153,7 @@ def sample_restriction_recursive(n: int, k: int, rng) -> Restriction:
         members[kept] |= members[removed]
 
     targets = list(range(k))
-    rng.shuffle(targets)
+    _shuffle(targets, getrandbits)
     buckets = [0] * k
     shift = 0
     for s, t in zip(survivors, targets):
@@ -198,12 +229,18 @@ def sample_buckets_cycle_sizes(r: int, k: int, rng) -> tuple[int, ...]:
 
 
 def _sample_cycle(r: int, k: int, rng) -> tuple[int, list[int]]:
-    """Entry special element and the shuffled order of the other elements."""
+    """Entry special element and the shuffled order of the other elements:
+    the ``getrandbits`` calls of ``rng.randrange(k)``, then of
+    ``rng.shuffle``."""
     _check_buckets(r, k)
-    entry = rng.randrange(k)
+    getrandbits = rng.getrandbits
+    bits = k.bit_length()
+    entry = getrandbits(bits)
+    while entry >= k:
+        entry = getrandbits(bits)
     rest = list(range(r))
     del rest[entry]
-    rng.shuffle(rest)
+    _shuffle(rest, getrandbits)
     return entry, rest
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .cube import CubeFunction, restriction_query_masks
 from .field import PrimeField, binomial_sum
-from .oracle import (CODEWORD_BUDGET, CodeEnumeration, _weighted_counts, code_fits,
-                     nearest_codeword, residue_dtype)
+from .oracle import (CodeEnumeration, _weighted_counts, code_fits, nearest_codeword,
+                     residue_dtype)
 from .poly import MultilinearPoly
 from .restrict import Restriction, uniform_buckets
 from .tester import TesterParams, amplified_test
@@ -102,7 +102,7 @@ def desk_k(d: int, p: int) -> int:
     (d, d + 5] whose p^C(k,<=d) codewords fit ``CODEWORD_BUDGET``, or d + 5
     when none does, so that the run raises the budget error."""
     for k in range(d + 5, d, -1):
-        if code_fits(p, binomial_sum(k, d), CODEWORD_BUDGET):
+        if code_fits(p, binomial_sum(k, d)):
             return k
     return d + 5
 

@@ -1,8 +1,10 @@
 """The recursive bucket-process sampler written plainly, shared by the tests:
 the reference for the random calls and the output of
 ``restrict.sample_restriction_recursive``, and the only source of its merge
-steps; and ``restriction_from_phi``, which builds a restriction from an
-explicit variable map."""
+steps; plain forms of ``restrict.uniform_buckets`` and of the cycle
+sampler's draw, written with ``random``'s own bounded-integer calls; and
+``restriction_from_phi``, which builds a restriction from an explicit
+variable map."""
 
 from __future__ import annotations
 
@@ -47,3 +49,21 @@ def reference_recursive(n, k, rng):
         if flip ^ final_shift[root]:
             shift |= 1 << i
     return restriction_from_phi(n, k, phi, shift), steps, bijection, final_shift
+
+
+def reference_uniform_buckets(n, k, rng):
+    """The uniform map [n] -> [k] by one ``rng.randrange(k)`` per variable, in
+    order, as bucket masks."""
+    buckets = [0] * k
+    for i in range(n):
+        buckets[rng.randrange(k)] |= 1 << i
+    return buckets
+
+
+def reference_cycle(r, k, rng):
+    """The cycle sampler's draw: entry ``rng.randrange(k)``, then
+    ``rng.shuffle`` of the other elements in ascending order."""
+    entry = rng.randrange(k)
+    rest = [e for e in range(r) if e != entry]
+    rng.shuffle(rest)
+    return entry, rest

@@ -310,6 +310,7 @@ def test_numpy_scan_across_block_boundaries(monkeypatch, block, size):
     import gridcode.lowerbound as lb
 
     monkeypatch.setattr(lb, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(lb, "_PAIR_BLOCK", block)
     rng = random.Random(43 + block + size)
     for field in (None, F3):
         for positions in ((3,), (9, 1), (14,)):

@@ -189,10 +189,10 @@ def test_degree_one_fast_path_matches_brute_force():
 
 def test_degree_one_fast_path_keeps_budget_guard():
     # exact_delta_d builds its code, whose check is code_fits, before any
-    # path runs; the 2^11 codewords of the k = 10, d = 1 code sit on the
-    # boundary
-    assert not oracle.code_fits(2, 11, (1 << 11) - 1)
-    assert oracle.code_fits(2, 11, 1 << 11)
+    # path runs; 2^23 and 3^14 codewords fit the budget of 10^7, 2^24 and
+    # 3^15 do not
+    assert oracle.code_fits(2, 23) and not oracle.code_fits(2, 24)
+    assert oracle.code_fits(3, 14) and not oracle.code_fits(3, 15)
     assert exact_delta_d(constant_function(10, F2), 1)[0] == 0
 
 

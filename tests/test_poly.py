@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cube_util import constant_function
+from gridcode import poly as poly_module
 from gridcode.cube import CubeFunction
 from gridcode.field import PrimeField
 from gridcode.poly import (
@@ -210,6 +211,30 @@ def _reference_zeta(poly):
 
 
 TABLE_PRIMES = [2, 3, 5, 131, 257, 2**31 - 1]
+
+
+def reference_moebius(values, n, p):
+    """The scalar subset Moebius transform: one pass per direction, mod p."""
+    coeffs = list(values)
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                coeffs[m] = (coeffs[m] - coeffs[m ^ bit]) % p
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_from_truth_table_matches_reference_moebius(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    # n = 13 is past the largest cached pair table
+    for n in [*range(1, 10), 13]:
+        for values in ([rng.randrange(p) for _ in range(1 << n)], [p - 1] * (1 << n)):
+            coeffs = reference_moebius(values, n, p)
+            expected = {m: c for m, c in enumerate(coeffs) if c}
+            assert from_truth_table(CubeFunction(n, field, values)).coeffs == expected
+    assert all(1 << n <= poly_module._PAIR_TABLE_POINTS for n in poly_module._PAIR_TABLES)
 
 
 def _check_truth_table(poly, points):

@@ -20,10 +20,16 @@ from gridcode.restrict import (
     sample_buckets_direct_sizes,
     sample_restriction_direct,
     sample_restriction_recursive,
+    _sample_cycle,
     uniform_buckets,
 )
 from gridcode.tester import TesterParams, run_test_once
-from reference_sampler import reference_recursive, restriction_from_phi
+from reference_sampler import (
+    reference_cycle,
+    reference_recursive,
+    reference_uniform_buckets,
+    restriction_from_phi,
+)
 from stats_util import chi_square_goodness_of_fit, chi_square_homogeneity
 
 
@@ -60,6 +66,19 @@ def test_uniform_buckets_are_the_randrange_map():
             phi = [reference.randrange(k) for _ in range(30)]
             assert uniform_buckets(30, k, ours) == list(restriction_from_phi(30, k, phi, 0).buckets)
             assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_direct_draws_make_the_calls_of_random(k):
+    # uniform_buckets and the cycle draw against random's own randrange and
+    # shuffle: the same output and the same generator state after
+    for seed in range(200):
+        size = k + seed % (41 - k)
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert uniform_buckets(size, k, ours) == reference_uniform_buckets(size, k, reference)
+        assert ours.getstate() == reference.getstate()
+        assert _sample_cycle(size, k, ours) == reference_cycle(size, k, reference)
+        assert ours.getstate() == reference.getstate()
 
 
 def test_recursive_needs_strict_reduction():
