@@ -157,6 +157,9 @@ def run_decode_command(config: ExperimentConfig) -> list[dict]:
             "queries_per_call": f"{queries / config.trials:.2f}",
         }
 
+    # The query plan, checked against its budget, is built before any trial.
+    p = config.params
+    decoder.query_plan(decoder.DecoderParams.for_degree(p["p"], p["d"]).k, p["d"], p["mode"])
     return _per_delta(config, _decode_chunk, "delta", row)
 
 

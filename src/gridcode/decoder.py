@@ -17,17 +17,21 @@ The oracle f is read only through ``f.values_at(masks)`` (see ``cube``), so a
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import CubeFunction
+from .errors import check_budget
 from .field import FieldElement, PrimeField
+from .poly import subsets_up_to
 from .restrict import uniform_buckets
 
 FULL_BALANCED = "full_B"
 ZERO_TAIL_ONLY = "B_prime_only"
+
+# Most queries one ``local_decode`` call may make, the size of its query plan.
+QUERY_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,29 +76,19 @@ class DecoderParams:
         return Fraction(1, 4 * self.query_budget)
 
 
-def _weight_k_masks(k: int, width: int) -> list[int]:
-    """All masks of ``width`` bits with exactly k ones, ascending."""
-    return sorted(sum(1 << i for i in positions)
-                  for positions in itertools.combinations(range(width), k))
-
-
 def balanced_set(k: int) -> list[int]:
     """All points of {0,1}^{2k} of Hamming weight exactly k, ascending masks."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _weight_k_masks(k, 2 * k)
+    return subsets_up_to(2 * k, k, least=k)
 
 
 def zero_tail_balanced_set(k: int, d: int) -> list[int]:
-    """Balanced points whose last k-d coordinates are zero (C(k+d, k) of them).
-
-    Built directly by placing the k ones among the first k+d coordinates, so
-    the full balanced set is never materialised (it is astronomically larger
-    for big k).
-    """
+    """Balanced points whose last k-d coordinates are zero, ascending: the
+    C(k+d, k) masks with their k ones among the first k+d coordinates."""
     if not 0 <= d < k:
         raise ValueError(f"need 0 <= d < k, got d={d}, k={k}")
-    return _weight_k_masks(k, k + d)
+    return subsets_up_to(k + d, k, least=k)
 
 
 def decode_from_ball(values: dict, params: DecoderParams) -> int:
@@ -121,16 +115,20 @@ class QueryLog:
 
 
 @functools.cache
-def _query_plan(k: int, d: int, mode: str):
+def query_plan(k: int, d: int, mode: str):
     """The queried balanced points of one mode in ascending order, the set-bit
-    positions of each, and the indices of the zero-tail points among them."""
-    if mode == FULL_BALANCED:
-        points = balanced_set(k)
-        tail = set(zero_tail_balanced_set(k, d))
-        needed = tuple(i for i, y in enumerate(points) if y in tail)
-    else:
-        points = zero_tail_balanced_set(k, d)
-        needed = tuple(range(len(points)))
+    positions of each, and the indices of the zero-tail points among them.
+
+    Past ``QUERY_BUDGET`` points it raises BudgetExceededError before any is
+    built: a call queries C(k+j, j) points, j = k in the full mode and d in
+    the reduced one, counted through C(k+1, 1), C(k+2, 2), ..., C(k+j, j).
+    """
+    j_max = k if mode == FULL_BALANCED else d
+    check_budget((math.comb(k + j, j) for j in range(1, j_max + 1)), QUERY_BUDGET,
+                 f"{mode} decoding needs {{count}} queries per call")
+    points = balanced_set(k) if mode == FULL_BALANCED else zero_tail_balanced_set(k, d)
+    # the zero-tail points are the balanced points below 2^(k+d)
+    needed = tuple(i for i, y in enumerate(points) if y >> (k + d) == 0)
     bits = tuple(tuple(j for j in range(2 * k) if (y >> j) & 1) for y in points)
     return tuple(points), bits, needed
 
@@ -157,7 +155,7 @@ def local_decode(
         raise ValueError("target point out of range")
     if mode not in (FULL_BALANCED, ZERO_TAIL_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
-    points, bits, needed = _query_plan(params.k, params.d, mode)
+    points, bits, needed = query_plan(params.k, params.d, mode)
     # z(y) is x xored with the variables assigned to the set bits of y.
     buckets = uniform_buckets(f.n, 2 * params.k, rng)
     masks = []

@@ -105,10 +105,8 @@ def build_witness(
     """
     if d < 0:
         raise ValueError(f"d must be non-negative, got {d}")
-    if lo is None or hi is None:
-        d_lo, d_hi = default_window(k)
-        lo = d_lo if lo is None else lo
-        hi = d_hi if hi is None else hi
+    d_lo, d_hi = default_window(k)
+    lo, hi = d_lo if lo is None else lo, d_hi if hi is None else hi
     n_constraints = binomial_sum(k, d)
     universe = greedy_code(k, lo, hi, n_constraints + 1)
     solution = _kernel_vector(_evaluation_rows(k, d, universe), field)

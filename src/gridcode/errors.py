@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one budget check of every exhaustive step."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -12,6 +12,25 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def check_budget(totals, budget: int, what: str, name: str = "more than 10^100") -> None:
+    """Raise BudgetExceededError if a count passes ``budget``.
+
+    ``totals`` yields the count's running totals in increasing order and is
+    read up to the first one past both ``budget`` and 10^100.  The message
+    is ``what`` with ``{count}`` replaced by the count, or by ``name`` past
+    10^100 (Python prints no int past 4,300 digits), then the budget.
+    """
+    total = 0
+    for total in totals:
+        if total > budget and total > 10**100:
+            break
+    if total > budget:
+        required = total if total <= 10**100 else None
+        count = name if required is None else required
+        raise BudgetExceededError(f"{what.format(count=count)} (budget {budget})",
+                                  required=required, budget=budget)
 
 
 class CapacityError(RuntimeError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .field import PrimeField, row_reduce
 
 ALL_PLUS_ONES = 0  # mask of the +1^n vector
@@ -245,11 +245,13 @@ def _pair_patterns(a: np.ndarray, b: np.ndarray, full) -> np.ndarray:
     return out
 
 
+# Bit r of a key, for row r of at most 8 flag rows.
+_KEY_SHIFTS = np.arange(8, dtype=np.uint8).reshape(-1, 1)
+
+
 def _first_hit(table: np.ndarray, flags: np.ndarray) -> int | None:
     """Column of the first solvable key, where row r of ``flags`` is bit r."""
-    keys = flags[0].view(np.uint8).copy()
-    for r in range(1, len(flags)):
-        keys |= flags[r].view(np.uint8) << r
+    keys = np.bitwise_or.reduce(flags.view(np.uint8) << _KEY_SHIFTS[:len(flags)], axis=0)
     hits = table[keys]
     return int(hits.argmax()) if hits.any() else None
 
@@ -309,22 +311,8 @@ def t_span_contains(
         raise ValueError(f"t must be at least 1, got {t}")
     if t > len(candidates):
         raise ValueError("t cannot exceed the candidate count")
-    # Python prints no int past 4,300 digits: the sum stops past 10^100 and
-    # the budget, and a count past 10^100 is not printed
-    work, term, cap = 0, 1, max(budget, 10**100)
-    for u in range(1, t + 1):
-        term = term * (len(candidates) - u + 1) // u  # C(len(candidates), u)
-        work += term
-        if work > cap:
-            break
-    if work > budget:
-        required = work if work <= 10**100 else None
-        count = "more than 10^100" if required is None else required
-        raise BudgetExceededError(
-            f"span scan needs {count} subsets (budget {budget})",
-            required=required,
-            budget=budget,
-        )
+    check_budget(itertools.accumulate(math.comb(len(candidates), u) for u in range(1, t + 1)),
+                 budget, "span scan needs {count} subsets")
     if target != ALL_PLUS_ONES:
         raise ValueError("only the all-plus-ones target is supported")
 

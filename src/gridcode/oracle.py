@@ -42,14 +42,13 @@ silent approximations; the budget check precedes every plan.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .cube import CubeFunction
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .field import PrimeField, binomial_sum
 from .poly import MultilinearPoly, _monomials
 
@@ -80,6 +79,13 @@ def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         # s < 2p <= 256 does not wrap; s - p wraps above s exactly when s < p.
         return np.minimum(s, s - np.uint8(p), out=s)
     return np.where(a >= p - b, s - p, s)
+
+
+def monomial_values(monomials, points, dtype: type) -> np.ndarray:
+    """The value [A subset of y] of each monomial mask A (row) at each point
+    mask y (column), 0 or 1 as ``dtype``."""
+    mono = np.asarray(monomials, dtype=np.int64).reshape(-1, 1)
+    return ((np.asarray(points, dtype=np.int64) & mono) == mono).astype(dtype)
 
 
 def _span_values(mono: np.ndarray, p: int) -> np.ndarray:
@@ -115,14 +121,8 @@ class CodeEnumeration:
         self.dimension = binomial_sum(k, d)
         p = field.p
         if not code_fits(p, self.dimension):
-            # Python prints no int past 4,300 digits: name a count past 10^100 as a power
-            required = p ** self.dimension if self.dimension * math.log10(p) <= 100 else None
-            count = f"{p}^{self.dimension}" if required is None else required
-            raise BudgetExceededError(
-                f"code has {count} codewords (budget {CODEWORD_BUDGET})",
-                required=required,
-                budget=CODEWORD_BUDGET,
-            )
+            check_budget((p ** j for j in range(1, self.dimension + 1)), CODEWORD_BUDGET,
+                         "code has {count} codewords", name=f"{p}^{self.dimension}")
         self.monomials = _monomials(k, d)
         self.size = p ** self.dimension
 
@@ -155,12 +155,6 @@ class CodeEnumeration:
             index = index * p + poly.coeffs.get(m, 0)
         return index
 
-    def monomial_matrix(self, points) -> np.ndarray:
-        """Rows: monomials, columns: evaluation points (0/1 entries)."""
-        pts = np.asarray(list(points), dtype=np.int64)
-        mono = np.asarray(self.monomials, dtype=np.int64)
-        return ((pts[None, :] & mono[:, None]) == mono[:, None]).astype(np.int64)
-
     def iter_value_blocks(self, points):
         """Yield (start_index, values) with values of shape (rows, len(points)).
 
@@ -170,9 +164,8 @@ class CodeEnumeration:
         plus the values of the block's high-digit prefix; blocks hold p^low
         rows with p^low <= ``_BLOCK_ROWS``.
         """
-        points = list(points)
         p = self.field.p
-        mono = self.monomial_matrix(points).astype(residue_dtype(p))
+        mono = monomial_values(self.monomials, points, residue_dtype(p))
         low = 0
         while low < self.dimension and p ** (low + 1) <= _BLOCK_ROWS:
             low += 1
@@ -384,9 +377,7 @@ def _coset_plan(k: int, d: int) -> _CosetPlan:
     high = [m for m in monomials if m.bit_count() >= 2]
     signs = None
     if high:
-        x = np.arange(1 << k)
-        masks = np.asarray(high, dtype=np.int64).reshape(-1, 1)
-        parts = _span_values(((x & masks) == masks).astype(np.uint8), 2)
+        parts = _span_values(monomial_values(high, np.arange(1 << k), np.uint8), 2)
         signs = _read_only(1.0 - 2.0 * parts)
     return _CosetPlan(
         signs,

@@ -17,13 +17,11 @@ from .cube import CubeFunction
 from .field import PrimeField
 
 
-def subsets_up_to(n: int, d: int) -> list[int]:
-    """All subset masks of [n] of size at most d, ascending as integers."""
-    masks = [m for size in range(min(n, d) + 1)
-             for positions in itertools.combinations(range(n), size)
-             for m in (sum(1 << i for i in positions),)]
-    masks.sort()
-    return masks
+def subsets_up_to(n: int, d: int, least: int = 0) -> list[int]:
+    """All subset masks of [n] of size from ``least`` to d, ascending as
+    integers; with ``least`` = d, every mask of n bits with d ones."""
+    return sorted(sum(1 << i for i in positions) for size in range(least, min(n, d) + 1)
+                  for positions in itertools.combinations(range(n), size))
 
 
 # Bounded: an entry for large n and d holds every monomial of the code.

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 
 class Restriction:
@@ -355,21 +356,9 @@ def exact_bucket_distribution(r: int, k: int, process: str = "direct") -> dict:
     exceeds ``BUCKET_BUDGET``."""
     _check_buckets(r, k)
     _, factors, enumerate_outcomes = BUCKET_PROCESSES[process]
-    # Python prints no int past 4,300 digits: the product stops past 10^100
-    total = 1
-    for factor in factors(r, k):
-        total *= factor
-        if total > 10**100:
-            break
-    if total > BUCKET_BUDGET:
-        name = "parent" if process == "direct" else process
-        required = total if total <= 10**100 else None
-        count = "more than 10^100" if required is None else required
-        raise BudgetExceededError(
-            f"{name} enumeration needs {count} cases (budget {BUCKET_BUDGET})",
-            required=required,
-            budget=BUCKET_BUDGET,
-        )
+    name = "parent" if process == "direct" else process
+    check_budget(itertools.accumulate(factors(r, k), operator.mul), BUCKET_BUDGET,
+                 f"{name} enumeration needs {{count}} cases")
     return _aggregate(enumerate_outcomes(r, k))
 
 

@@ -503,6 +503,40 @@ def test_tolerant_past_the_budget_fails_before_drawing_its_sample(tmp_path):
     assert not out.exists()
 
 
+# Runs main(argv) in a child process capped at 1 GiB of address space whose
+# alarm kills it 1 s after the imports, so a hang or a huge plan cannot pass.
+_BOUNDED_MAIN = """
+import resource, signal, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gridcode.cli import main
+signal.setitimer(signal.ITIMER_REAL, 1.0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # C(62, 31) full balanced queries
+    ("decode --n 8 --d 1 --p 31 --delta 1/64 --trials 3",
+     "full_B decoding needs 465428353255261088 queries per call (budget 1000000)"),
+    # C(2^32 - 2, 2^31 - 1), never built
+    ("decode --n 8 --d 1 --p 2147483647 --delta 0 --trials 1",
+     "full_B decoding needs more than 10^100 queries per call (budget 1000000)"),
+    ("decode --n 8 --d 1 --p 31 --mode B_prime_only --delta 1/64 --trials 3", None),
+])
+def test_decode_query_plan_budget_fails_at_once(argv, message):
+    src = str(Path(gridcode.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN, *argv.split()],
+                         capture_output=True, text=True, env=env, timeout=30)
+    if message is None:
+        # the reduced mode queries C(32, 31) = 32 points
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.splitlines()[-1] == "1/64,3,3,1.000000,32.00"
+    else:
+        assert (run.returncode, run.stderr) == (1, f"error: {message}\n")
+
+
 def test_tolerant_past_the_budget_draws_no_polynomial(tmp_path, capsys, monkeypatch):
     # the code's budget is checked once, before any trial draws its polynomial
     def random_poly(*args):

@@ -10,13 +10,16 @@ from cube_util import constant_function, distance
 from gridcode.cube import corrupt
 from gridcode.decoder import (
     FULL_BALANCED,
+    QUERY_BUDGET,
     ZERO_TAIL_ONLY,
     DecoderParams,
     balanced_set,
     decode_from_ball,
     local_decode,
+    query_plan,
     zero_tail_balanced_set,
 )
+from gridcode.errors import BudgetExceededError
 from gridcode.field import PrimeField
 from gridcode.poly import MultilinearPoly, random_poly
 from stats_util import stderr
@@ -279,3 +282,26 @@ def test_local_decode_validation():
         local_decode(f2, 1 << 5, params, random.Random(0))
     with pytest.raises(ValueError):
         local_decode(f2, 0, params, random.Random(0), mode="bogus")
+
+
+def test_query_plan_checks_the_mode_query_count_before_building():
+    # C(2k, k) points in the full mode, C(k+d, k) in the reduced one
+    with pytest.raises(BudgetExceededError) as caught:
+        query_plan(31, 1, FULL_BALANCED)
+    assert caught.value.required == math.comb(62, 31)
+    assert caught.value.budget == QUERY_BUDGET
+    assert str(caught.value) == (
+        f"full_B decoding needs {math.comb(62, 31)} queries per call (budget {QUERY_BUDGET})")
+    points, _, needed = query_plan(31, 1, ZERO_TAIL_ONLY)
+    assert len(points) == len(needed) == 32
+    # C(24, 12) is the smallest full count past the budget, C(22, 11) fits
+    assert math.comb(22, 11) <= QUERY_BUDGET
+    with pytest.raises(BudgetExceededError) as caught:
+        query_plan(12, 1, FULL_BALANCED)
+    assert caught.value.required == math.comb(24, 12)
+    # at k = 2^31 - 1 the full count passes 10^100 after a few factors
+    with pytest.raises(BudgetExceededError, match=r"needs more than 10\^100 queries"):
+        query_plan(2**31 - 1, 1, FULL_BALANCED)
+    with pytest.raises(BudgetExceededError) as caught:
+        query_plan(2**31 - 1, 1, ZERO_TAIL_ONLY)
+    assert caught.value.required == 2**31

@@ -350,3 +350,18 @@ def test_shared_memo_matches_fresh_solves(field):
         for key in range(1, 1 << (1 << u)):
             fresh = _solve_pattern_system(_rows_from_key(key, u), field)[0]
             assert _solvable(field, u, key) == fresh == bool(table[key])
+
+
+@pytest.mark.parametrize("rows", [2, 4, 8])
+def test_first_hit_reads_row_r_as_bit_r(rows):
+    import numpy as np
+    from gridcode.lowerbound import _first_hit
+
+    rng = np.random.default_rng(rows)
+    table = rng.random(1 << rows) < 0.05
+    flags = rng.random((rows, 300)) < 0.5
+    for view in (flags, flags[:, 7:250]):  # a column slice, as the triple blocks pass
+        keys = [sum(int(view[r, c]) << r for r in range(rows)) for c in range(view.shape[1])]
+        expected = next((c for c, key in enumerate(keys) if table[key]), None)
+        assert _first_hit(table, view) == expected
+    assert _first_hit(np.zeros(1 << rows, dtype=bool), flags) is None

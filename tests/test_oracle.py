@@ -18,6 +18,7 @@ from gridcode.oracle import (
     _weighted_counts,
     certify_far,
     exact_delta_d,
+    monomial_values,
     nearest_codeword,
 )
 from gridcode.poly import MultilinearPoly, from_truth_table, random_poly
@@ -201,7 +202,7 @@ def _reference_values(code, points):
     p = code.field.p
     shape = (p,) * code.dimension
     coeffs = np.stack(np.unravel_index(np.arange(code.size), shape), axis=1)
-    values = (coeffs.astype(np.int64) @ code.monomial_matrix(points)) % p
+    values = (coeffs.astype(np.int64) @ monomial_values(code.monomials, points, np.int64)) % p
     return values.astype(np.uint8 if p < 256 else np.int64)
 
 

@@ -194,6 +194,9 @@ def test_poly_file_format():
 def test_subsets_up_to():
     assert subsets_up_to(3, 1) == [0b000, 0b001, 0b010, 0b100]
     assert len(subsets_up_to(6, 2)) == 22
+    # with a least size: the masks of fixed weight, in ascending order
+    assert subsets_up_to(4, 2, least=2) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert subsets_up_to(6, 3, least=2) == [m for m in subsets_up_to(6, 3) if m.bit_count() >= 2]
 
 
 def _reference_zeta(poly):
