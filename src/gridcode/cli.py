@@ -3,7 +3,8 @@
 Every subcommand derives the RNG of trial i from (master seed, i), so output
 is byte-identical for a given invocation regardless of scheduling; the
 GRIDCODE_THREADS environment variable only changes how trials are spread over
-worker processes.  All output embeds the full parameter set.
+worker processes.  All output embeds the full parameter set.  Each run's
+parameters are built and checked once, before any trial, and shared by them all.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tester import RejectionEstimate, TesterParams, run_test_once
 class ExperimentConfig:
     subcommand: str
     params: dict
+    run_params: object  # the parameter object of test, decode and tolerant, else None
     master_seed: int = 0
     trials: int = 1
     out: str = "-"
@@ -103,14 +105,14 @@ def _per_delta(config: ExperimentConfig, chunk, delta_key: str, row) -> list[dic
     rows = []
     for index, delta in enumerate(config.params["deltas"]):
         seed = derive_seed(config.master_seed, index)
-        totals = _map_chunks(chunk, (config.params, delta, seed), config.trials)
+        totals = _map_chunks(chunk, (config, delta, seed), config.trials)
         rows.append({delta_key: str(delta), "trials": config.trials, **row(*totals)})
     return rows
 
 
-def _test_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+def _test_chunk(config: ExperimentConfig, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+    p, params = config.params, config.run_params
     prime = PrimeField(p["p"])
-    params = TesterParams.desk(p["d"], p["k"])
     rejections = 0
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
@@ -130,13 +132,13 @@ def run_test_command(config: ExperimentConfig) -> list[dict]:
     return _per_delta(config, _test_chunk, "delta", row)
 
 
-def _decode_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+def _decode_chunk(config: ExperimentConfig, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+    p, (params, plan_size) = config.params, config.run_params
     n = p["n"]
-    params = decoder.DecoderParams.for_degree(p["p"], p["d"])
     setup = derive_rng(seed, -1)
-    poly = random_poly(n, p["d"], PrimeField(p["p"]), setup)
-    # each trial reads the decoder's queries and the true value at x
-    f = _corrupted_input(poly, (hi - lo) * (params.query_budget + 1), delta, setup)
+    poly = random_poly(n, p["d"], params.field, setup)
+    # each trial reads its mode's queries and the true value at x
+    f = _corrupted_input(poly, (hi - lo) * (plan_size + 1), delta, setup)
     successes = 0
     queries = 0
     for i in range(lo, hi):
@@ -157,23 +159,13 @@ def run_decode_command(config: ExperimentConfig) -> list[dict]:
             "queries_per_call": f"{queries / config.trials:.2f}",
         }
 
-    # The query plan, checked against its budget, is built before any trial.
-    p = config.params
-    decoder.query_plan(decoder.DecoderParams.for_degree(p["p"], p["d"]).k, p["d"], p["mode"])
     return _per_delta(config, _decode_chunk, "delta", row)
 
 
-def _tolerant_chunk(p: dict, delta: Fraction, seed: int, lo: int, hi: int) -> tuple:
+def _tolerant_chunk(config: ExperimentConfig, delta: Fraction, seed: int, lo: int,
+                    hi: int) -> tuple:
+    p, params = config.params, config.run_params
     prime = PrimeField(p["p"])
-    params = tolerant.TolerantParams.desk(
-        p["d"],
-        p["delta1"],
-        p["delta2"],
-        k=p["k"],
-        m=p["m"],
-        intolerant_reps=p["reps"],
-        replacement=p["replacement"],
-    )
     accepts = 0
     mu_total = Fraction(0)
     mu_count = 0
@@ -195,9 +187,6 @@ def run_tolerant_command(config: ExperimentConfig) -> list[dict]:
         mu_mean = float(mu_total / mu_count) if mu_count else float("nan")
         return {"mu_mean": f"{mu_mean:.6f}", "accept_rate": f"{accepts / config.trials:.6f}"}
 
-    # A code past the budget fails here, before any trial draws its polynomial.
-    p = config.params
-    oracle.CodeEnumeration(p["k"], p["d"], PrimeField(p["p"]))
     return _per_delta(config, _tolerant_chunk, "delta_true", row)
 
 
@@ -350,22 +339,6 @@ RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    """Run a validated config and write its artifact; returns a process exit
-    status.  The output file is opened only once the run has succeeded."""
-    try:
-        output = RUNNERS[config.subcommand](config)
-        if config.out == "-":
-            _emit(config, output, sys.stdout)
-        else:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as stream:
-                _emit(config, output, stream)
-    except (BudgetExceededError, CapacityError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 # --- argument parsing ---------------------------------------------------
 
 # Options every subcommand takes; the rest of its options are its params.
@@ -465,8 +438,9 @@ def _fraction(option: str, text: str) -> Fraction:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The subcommand's options as its params, plus the desk values that
-    test and tolerant derive from them."""
+    """The subcommand's options as its params, plus the desk values that test
+    and tolerant derive from them and, for the trial subcommands, the run's
+    parameter object, checked against n and its budget before any trial."""
     sub = args.subcommand
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -475,18 +449,34 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if sub in JSON_ONLY and args.format != "json":
         raise ValueError(f"{sub} writes JSON only, not --format {args.format}")
     params = {key: value for key, value in vars(args).items() if key not in COMMON}
+    run_params = None
     if "deltas" in params:
         params["deltas"] = [_fraction("--delta", x) for x in params["deltas"]]
+        if not 1 <= args.n <= cube.MAX_VARIABLES:
+            raise ValueError(f"n must be in [1, {cube.MAX_VARIABLES}], got {args.n}")
+        if args.d > args.n:
+            raise ValueError(f"need 0 <= d <= n, got d={args.d}, n={args.n}")
     if sub == "test":
-        params["k"] = TesterParams.desk(args.d, args.k).k
+        run_params = TesterParams.desk(args.d, args.k)
+        if not args.n > run_params.k:
+            raise ValueError(f"need n > k, got n={args.n}, k={run_params.k}")
+        params["k"] = run_params.k
+    elif sub == "decode":
+        decoding = decoder.DecoderParams.for_degree(args.p, args.d)
+        run_params = decoding, len(decoder.query_plan(decoding.k, args.d, args.mode)[0])
     elif sub == "tolerant":
         params["delta1"] = _fraction("--delta1", args.delta1)
         params["delta2"] = _fraction("--delta2", args.delta2)
         k = tolerant.desk_k(args.d, args.p) if args.k is None else args.k
-        desk = tolerant.TolerantParams.desk(args.d, params["delta1"], params["delta2"], k=k,
-                                            m=args.m, replacement=args.replacement)
-        params["k"], params["m"] = desk.k, desk.m
-    return ExperimentConfig(sub, params, args.seed, args.trials, args.out, args.format)
+        run_params = tolerant.TolerantParams.desk(
+            args.d, params["delta1"], params["delta2"], k=k, m=args.m,
+            intolerant_reps=args.reps, replacement=args.replacement)
+        for dim in (run_params.k, run_params.intolerant.k):
+            if not args.n > dim:
+                raise ValueError(f"need n > k, got n={args.n}, k={dim}")
+        oracle.CodeEnumeration(run_params.k, args.d, PrimeField(args.p))
+        params["k"], params["m"] = run_params.k, run_params.m
+    return ExperimentConfig(sub, params, run_params, args.seed, args.trials, args.out, args.format)
 
 
 @functools.cache
@@ -496,14 +486,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run argv's config and write its artifact; returns a process exit
+    status.  The output file is opened only once the run has succeeded."""
     args = _shared_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         thread_count()  # reject a malformed GRIDCODE_THREADS whether or not it is used
-    except ValueError as exc:
+        output = RUNNERS[config.subcommand](config)
+        if config.out == "-":
+            _emit(config, output, sys.stdout)
+        else:
+            with open(config.out, "w", encoding="utf-8", newline="\n") as stream:
+                _emit(config, output, stream)
+    except (BudgetExceededError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,40 +30,35 @@ from .restrict import uniform_buckets
 FULL_BALANCED = "full_B"
 ZERO_TAIL_ONLY = "B_prime_only"
 
-# Most queries one ``local_decode`` call may make, the size of its query plan.
+# Most queries one ``local_decode`` call may make, and most bit positions its
+# plan may scan, 2k a query: every full plan within QUERY_BUDGET (k <= 11) fits.
 QUERY_BUDGET = 10**6
+PLAN_WORK_BUDGET = 32 * QUERY_BUDGET
 
 
 @dataclass(frozen=True)
 class DecoderParams:
-    """Derived decoding parameters for characteristic p and degree d."""
+    """Decoding parameters for characteristic p and degree d; k is derived."""
 
     field: PrimeField
     d: int
-    k: int
 
     @classmethod
     def for_degree(cls, p: int, d: int) -> "DecoderParams":
-        """The parameters with k the smallest power of p above d."""
-        field = PrimeField(p)
-        k = 1
-        while k <= d:
-            k *= p
-        return cls(field, d, k)
+        """The parameters over F_p for degree d, with k derived from both."""
+        return cls(PrimeField(p), d)
 
     def __post_init__(self):
-        p = self.field.p
         if self.d < 0:
             raise ValueError("degree must be non-negative")
-        if not self.k > self.d:
-            raise ValueError("k must exceed the degree")
-        k = self.k
-        while k % p == 0:
-            k //= p
-        if k != 1:
-            raise ValueError(f"k={self.k} is not a power of {p}")
-        if self.d >= 1 and self.k > p * self.d:
-            raise ValueError("k must be at most p*d")
+
+    @functools.cached_property
+    def k(self) -> int:
+        """The smallest power of p above d, the only one in (d, pd] when d >= 1."""
+        k = 1
+        while k <= self.d:
+            k *= self.field.p
+        return k
 
     @property
     def query_budget(self) -> int:
@@ -119,13 +114,16 @@ def query_plan(k: int, d: int, mode: str):
     """The queried balanced points of one mode in ascending order, the set-bit
     positions of each, and the indices of the zero-tail points among them.
 
-    Past ``QUERY_BUDGET`` points it raises BudgetExceededError before any is
-    built: a call queries C(k+j, j) points, j = k in the full mode and d in
-    the reduced one, counted through C(k+1, 1), C(k+2, 2), ..., C(k+j, j).
+    Past ``QUERY_BUDGET`` points or ``PLAN_WORK_BUDGET`` bits it raises
+    BudgetExceededError before any is built: a call queries C(k+j, j) points,
+    j = k in the full mode and d in the reduced one, counted through
+    C(k+1, 1), ..., C(k+j, j), and the plan scans 2k bits of each.
     """
     j_max = k if mode == FULL_BALANCED else d
     check_budget((math.comb(k + j, j) for j in range(1, j_max + 1)), QUERY_BUDGET,
                  f"{mode} decoding needs {{count}} queries per call")
+    check_budget([2 * k * math.comb(k + j_max, j_max)], PLAN_WORK_BUDGET,
+                 f"{mode} decoding scans {{count}} bit positions to plan its queries")
     points = balanced_set(k) if mode == FULL_BALANCED else zero_tail_balanced_set(k, d)
     # the zero-tail points are the balanced points below 2^(k+d)
     needed = tuple(i for i, y in enumerate(points) if y >> (k + d) == 0)

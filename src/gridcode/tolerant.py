@@ -17,6 +17,7 @@ reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,15 +48,14 @@ class TolerantParams:
     delta2: Fraction
     k: int
     m: int
-    intolerant: TesterParams
     intolerant_reps: int = 1
     replacement: bool = True
 
     def __post_init__(self):
         if not 0 <= self.delta1 < self.delta2 < 1:
             raise ValueError("need 0 <= delta1 < delta2 < 1")
-        if self.k <= self.d:
-            raise ValueError("k must exceed d")
+        if not 0 <= self.d < self.k:
+            raise ValueError(f"need 0 <= d < k, got d={self.d}, k={self.k}")
         if self.m < 1:
             raise ValueError("need at least one sample point")
         if not self.replacement and (self.m - 1) >> self.k:  # m > 2^k, 2^k unbuilt
@@ -85,8 +85,11 @@ class TolerantParams:
             k = d + 5
         if m is None:
             m = math.ceil(1 / float(eps) ** 2) + k**d
-        intolerant = TesterParams.desk(d)
-        return cls(d, delta1, delta2, k, m, intolerant, intolerant_reps, replacement)
+        return cls(d, delta1, delta2, k, m, intolerant_reps, replacement)
+
+    @functools.cached_property
+    def intolerant(self) -> TesterParams:
+        return TesterParams.desk(self.d)
 
     @property
     def threshold(self) -> Fraction:

@@ -514,6 +514,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _bounded_main(argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(gridcode.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", _BOUNDED_MAIN, *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 @pytest.mark.parametrize("argv, message", [
     # C(62, 31) full balanced queries
     ("decode --n 8 --d 1 --p 31 --delta 1/64 --trials 3",
@@ -522,19 +530,40 @@ sys.exit(main(sys.argv[1:]))
     ("decode --n 8 --d 1 --p 2147483647 --delta 0 --trials 1",
      "full_B decoding needs more than 10^100 queries per call (budget 1000000)"),
     ("decode --n 8 --d 1 --p 31 --mode B_prime_only --delta 1/64 --trials 3", None),
+    # C(k+1, 1) = 499,980 queries, but 2k bits scanned for each
+    ("decode --n 8 --d 1 --p 499979 --mode B_prime_only --delta 0 --trials 1",
+     "B_prime_only decoding scans 499959000840 bit positions to plan its queries "
+     "(budget 32000000)"),
 ])
 def test_decode_query_plan_budget_fails_at_once(argv, message):
-    src = str(Path(gridcode.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN, *argv.split()],
-                         capture_output=True, text=True, env=env, timeout=30)
+    run = _bounded_main(argv)
     if message is None:
         # the reduced mode queries C(32, 31) = 32 points
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout.splitlines()[-1] == "1/64,3,3,1.000000,32.00"
     else:
         assert (run.returncode, run.stderr) == (1, f"error: {message}\n")
+
+
+_BIG = str(10**40)
+_TOLERANT = "tolerant --d 1 --delta1 0 --delta2 1/5"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"test --n {_BIG} --d 1", f"n must be in [1, 30], got {_BIG}"),
+    (f"decode --n {_BIG} --d 1", f"n must be in [1, 30], got {_BIG}"),
+    (f"{_TOLERANT} --n {_BIG}", f"n must be in [1, 30], got {_BIG}"),
+    ("test --n 1000000 --d 1", "n must be in [1, 30], got 1000000"),
+    ("decode --n 1000000 --d 1", "n must be in [1, 30], got 1000000"),
+    (f"{_TOLERANT} --n 1000000", "n must be in [1, 30], got 1000000"),
+    (f"test --n 8 --d 1 --k {_BIG}", f"need n > k, got n=8, k={_BIG}"),
+    ("tolerant --n 8 --d 1000000 --delta1 0 --delta2 1/5",
+     "need 0 <= d <= n, got d=1000000, n=8"),
+])
+def test_out_of_range_sizes_fail_at_once(argv, message):
+    # checked where the run's parameters are built, before any polynomial is drawn
+    run = _bounded_main(f"{argv} --delta 0 --trials 1")
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_tolerant_past_the_budget_draws_no_polynomial(tmp_path, capsys, monkeypatch):

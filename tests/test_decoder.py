@@ -16,6 +16,7 @@ from gridcode.decoder import (
     balanced_set,
     decode_from_ball,
     local_decode,
+    PLAN_WORK_BUDGET,
     query_plan,
     zero_tail_balanced_set,
 )
@@ -30,7 +31,8 @@ F3 = PrimeField(3)
 
 def test_params_p2_d1():
     params = DecoderParams.for_degree(2, 1)
-    assert params == DecoderParams(F2, 1, 2)
+    assert params == DecoderParams(F2, 1)
+    assert params.k == 2
     assert params.query_budget == 6
     assert params.tolerance == Fraction(1, 24)
 
@@ -48,42 +50,25 @@ def test_params_k_is_power_of_p_and_bounded():
 
 
 def test_decoder_constant_vanishing_pattern():
-    # For every k that DecoderParams accepts, C(d+k, k) = 1 mod p, so the
-    # balanced sum is G(0) itself, and the shifted binomials vanish mod p.
+    # For every power k of p above d, C(d+k, k) = 1 mod p, so the balanced
+    # sum is G(0) itself, and the shifted binomials vanish mod p.  At d >= 1
+    # exactly one such power lies in (d, pd], and it is the derived k.
     for p in (2, 3, 5, 7):
-        field = PrimeField(p)
         for d in range(11):
-            valid = []
-            for k in range(1, p * max(d, 1) + 1):
-                try:
-                    DecoderParams(field, d, k)
-                except ValueError:
-                    continue
-                valid.append(k)
+            powers = [p**e for e in range(8) if p**e > d]
+            for k in powers:
                 assert math.comb(d + k, k) % p == 1
                 for i in range(1, d + 1):
                     assert math.comb(d + k - i, k - i) % p == 0
-            assert DecoderParams.for_degree(p, d).k == valid[0]
+            k = DecoderParams.for_degree(p, d).k
+            assert k == powers[0]
             if d >= 1:
-                assert len(valid) == 1
+                assert [q for q in powers if q <= p * d] == [k]
 
 
-@pytest.mark.parametrize(
-    "p, d, k, message",
-    [
-        (3, 2, 4, "not a power of 3"),
-        (2, 2, 6, "not a power of 2"),
-        (2, 2, 2, "must exceed the degree"),
-        (3, 3, 3, "must exceed the degree"),
-        (2, 0, 0, "must exceed the degree"),
-        (2, 1, 4, "at most p\\*d"),
-        (3, 2, 9, "at most p\\*d"),
-        (2, -1, 1, "non-negative"),
-    ],
-)
-def test_decoder_params_rejects_invalid_k(p, d, k, message):
-    with pytest.raises(ValueError, match=message):
-        DecoderParams(PrimeField(p), d, k)
+def test_decoder_params_rejects_negative_degree():
+    with pytest.raises(ValueError, match="non-negative"):
+        DecoderParams(PrimeField(2), -1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])
@@ -305,3 +290,18 @@ def test_query_plan_checks_the_mode_query_count_before_building():
     with pytest.raises(BudgetExceededError) as caught:
         query_plan(2**31 - 1, 1, ZERO_TAIL_ONLY)
     assert caught.value.required == 2**31
+
+
+def test_query_plan_checks_its_bit_scan_before_building():
+    # C(k+1, 1) = 499,980 reduced points fit QUERY_BUDGET, but each has
+    # k = 499,979 ones among 2k bits: the plan is refused before any is built
+    assert 499980 <= QUERY_BUDGET
+    with pytest.raises(BudgetExceededError) as caught:
+        query_plan(499979, 1, ZERO_TAIL_ONLY)
+    assert caught.value.required == 2 * 499979 * 499980
+    assert caught.value.budget == PLAN_WORK_BUDGET
+    assert str(caught.value) == (f"B_prime_only decoding scans {2 * 499979 * 499980} bit "
+                                 f"positions to plan its queries (budget {PLAN_WORK_BUDGET})")
+    # the largest full plan within QUERY_BUDGET, k = 11, fits the scan bound
+    assert math.comb(24, 12) > QUERY_BUDGET >= math.comb(22, 11)
+    assert 2 * 11 * math.comb(22, 11) <= PLAN_WORK_BUDGET

@@ -160,6 +160,8 @@ def test_tolerant_params_validation():
         TolerantParams.desk(1, Fraction(2, 10), Fraction(1, 10))
     with pytest.raises(ValueError):
         TolerantParams.desk(2, Fraction(1, 100), Fraction(1, 10), k=2, m=10)
+    with pytest.raises(ValueError, match=r"need 0 <= d < k, got d=-1, k=4"):
+        TolerantParams.desk(-1, Fraction(1, 100), Fraction(1, 10), k=4)
     params = TolerantParams.desk(1, Fraction(2, 100), Fraction(2, 10))
     assert params.m == 124 + 6  # ceil(1/eps^2) + k^d with eps = 9/100 and k = 6
     assert params.threshold == Fraction(11, 100)

@@ -21,7 +21,7 @@ from gridcode.decoder import (
     zero_tail_balanced_set,
 )
 from gridcode.field import PrimeField
-from gridcode.poly import CorruptedPoly, PolyPoints, random_poly
+from gridcode.poly import CorruptedPoly, MultilinearPoly, PolyPoints, random_poly
 from gridcode.tester import TesterParams, run_test_once
 from gridcode.tolerant import TolerantParams, tolerant_test
 
@@ -185,3 +185,18 @@ def test_dense_reads_use_the_table_and_write_the_same_bytes(tmp_path, monkeypatc
     assert cli.main(args) == 0
     assert max(sizes, default=0) < n
     assert out.read_bytes() == tabled
+
+
+def test_reduced_decode_reads_sized_by_its_own_mode(monkeypatch, capsys):
+    # 3 calls of C(32, 31) = 32 queries read far fewer points than the 2^22
+    # table holds; the full mode's C(62, 31) would have built it
+    def truth_table(self):
+        raise AssertionError("truth table built")
+
+    monkeypatch.setattr(MultilinearPoly, "truth_table", truth_table)
+    assert cli.main(["decode", "--n", "22", "--d", "1", "--p", "31", "--mode", "B_prime_only",
+                     "--delta", "0", "--trials", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "# gridcode decode d=1 deltas=[0] mode=B_prime_only n=22 p=31 trials=3 seed=0\n"
+        "delta,trials,successes,rate,queries_per_call\n"
+        "0,3,3,1.000000,32.00\n")
