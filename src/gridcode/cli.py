@@ -31,7 +31,7 @@ from .tester import RejectionEstimate, TesterParams, run_test_once
 class ExperimentConfig:
     subcommand: str
     params: dict
-    run_params: object  # the parameter object of test, decode and tolerant, else None
+    run_params: object  # TesterParams, (DecoderParams, queries per call), TolerantParams or None
     master_seed: int = 0
     trials: int = 1
     out: str = "-"
