@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import cube, decoder, dualwitness, lowerbound, oracle, restrict, tolerant
-from .errors import BudgetExceededError, CapacityError
+from .errors import BudgetExceededError, CapacityError, check_budget
 from .field import PrimeField
 from .poly import CorruptedPoly, PolyPoints, random_poly, write_poly
 from .rand import derive_rng, derive_seed
@@ -76,10 +76,12 @@ def _map_chunks(worker, args: tuple, trials: int):
 
 # --- corrupted inputs ---------------------------------------------------
 
-# Point evaluation costs about 25-40 ns per point read and coefficient, the
-# truth table about 150-200 ns per point of the cube, so the table is the
-# cheaper base once reads times coefficients pass a few times 2^n.
-TABLE_READ_FACTOR = 4
+# Point evaluation costs about 14-25 ns per point read and coefficient, the
+# truth table about 27-33 ns per point of the cube, built and checked (2-vCPU
+# Xeon VM, n = 12 to 20), so the table is the cheaper base once reads times
+# coefficients pass about twice 2^n: a whole read at that ratio ran at
+# 0.70-1.13x of point reads' time as a table.
+TABLE_READ_FACTOR = 2
 
 
 def _corrupted_input(poly, reads: int, delta: Fraction, rng) -> CorruptedPoly:
@@ -440,7 +442,9 @@ def _fraction(option: str, text: str) -> Fraction:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The subcommand's options as its params, plus the desk values that test
     and tolerant derive from them and, for the trial subcommands, the run's
-    parameter object, checked against n and its budget before any trial."""
+    parameter object, checked against n and its budgets before any trial:
+    every trial of test, decode and tolerant reads at most
+    ``decoder.QUERY_BUDGET`` points of its input."""
     sub = args.subcommand
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -460,6 +464,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         run_params = TesterParams.desk(args.d, args.k)
         if not args.n > run_params.k:
             raise ValueError(f"need n > k, got n={args.n}, k={run_params.k}")
+        check_budget([run_params.queries_per_run], decoder.QUERY_BUDGET,
+                     "the tester needs {count} queries per trial")
         params["k"] = run_params.k
     elif sub == "decode":
         decoding = decoder.DecoderParams.for_degree(args.p, args.d)
@@ -475,6 +481,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             if not args.n > dim:
                 raise ValueError(f"need n > k, got n={args.n}, k={dim}")
         oracle.CodeEnumeration(run_params.k, args.d, PrimeField(args.p))
+        check_budget([run_params.max_queries], decoder.QUERY_BUDGET,
+                     "tolerant testing needs {count} queries per trial")
         params["k"], params["m"] = run_params.k, run_params.m
     return ExperimentConfig(sub, params, run_params, args.seed, args.trials, args.out, args.format)
 

@@ -13,6 +13,7 @@ of the corrupted function.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .field import PrimeField
@@ -21,12 +22,23 @@ from .restrict import Restriction
 MAX_VARIABLES = 30
 
 
-def _to_residues(values: list, p: int) -> list:
-    """Reduce a non-empty list of ints to residues in [0, p), in place.
+def _in_range(values: list, p: int) -> bool:
+    """Whether every value of a list of ints lies in [0, p), in one C-speed
+    pass: below p = 257 the values are packed as bytes, which fails for any
+    value outside [0, 256), and deleting the bytes below p must leave none;
+    above it, one min and one max."""
+    if p <= 256:
+        try:
+            return not bytearray(values).translate(None, bytes(range(p)))
+        except (TypeError, ValueError):
+            return False
+    return 0 <= min(values, default=0) and max(values, default=0) < p
 
-    A list already in range is returned after one C-speed min/max check.
-    """
-    if 0 <= min(values) and max(values) < p:
+
+def _to_residues(values: list, p: int) -> list:
+    """Reduce a list of ints to residues in [0, p), in place; a list already
+    in range is returned after the one-pass check of ``_in_range``."""
+    if _in_range(values, p):
         return values
     for i, v in enumerate(values):
         if not 0 <= v < p:
@@ -70,9 +82,14 @@ def corruption_offsets(n: int, p: int, delta, rng) -> dict[int, int]:
     """Draw floor(delta * 2^n) distinct uniform positions of {0,1}^n, each
     with a uniform nonzero offset in [1, p).
 
-    The random calls are one ``rng.sample`` of the positions, then one
-    ``rng._randbelow(p - 1)`` per position in sampled order, the call that
-    ``randrange(1, p)`` makes; neither reads a table.
+    The random calls are those of one ``rng.sample(range(2^n), flips)``,
+    then of one ``rng._randbelow(p - 1)`` per position in sampled order, the
+    call that ``randrange(1, p)`` makes; neither reads a table.  Each is
+    written with ``rng.getrandbits`` as CPython's ``Random`` makes it: a draw
+    below m is ``getrandbits(m.bit_length())`` repeated until it is below m,
+    and ``sample`` draws from a shrinking pool or, when a set of the picks
+    is smaller than the pool, redraws a position already picked.  They leave
+    the generator in the state those calls leave.
     """
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
@@ -82,8 +99,39 @@ def corruption_offsets(n: int, p: int, delta, rng) -> dict[int, int]:
         raise ValueError(f"modulus must be at least 2, got {p}")
     size = 1 << n
     flips = int(Fraction(delta) * size)
-    randbelow = rng._randbelow
-    return {pos: 1 + randbelow(p - 1) for pos in rng.sample(range(size), flips)}
+    getrandbits = rng.getrandbits
+    # Random.sample's switch: a pool of the 2^n positions when it is smaller
+    # than a set of the flips picks would be.
+    setsize = 21
+    if flips > 5:
+        setsize += 4 ** math.ceil(math.log(flips * 3, 4))
+    positions = []
+    if size <= setsize:
+        pool = list(range(size))
+        for m in range(size, size - flips, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            positions.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        picked = set()
+        bits = size.bit_length()
+        for _ in range(flips):
+            j = getrandbits(bits)
+            while j >= size or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+            positions.append(j)
+    offsets = {}
+    bits = (p - 1).bit_length()
+    for pos in positions:
+        r = getrandbits(bits)
+        while r >= p - 1:
+            r = getrandbits(bits)
+        offsets[pos] = 1 + r
+    return offsets
 
 
 def corrupt(f: CubeFunction, delta, rng) -> CubeFunction:
@@ -152,7 +200,7 @@ def read_truth_table(stream) -> CubeFunction:
     tokens = stream.read().split()
     field = PrimeField(p)
     values = [_decimal(t, "residue") for t in tokens]
-    for v in values:
-        if not 0 <= v < p:
-            raise ValueError(f"residue {v} is outside [0, {p})")
+    if not _in_range(values, p):
+        v = next(v for v in values if v >= p)
+        raise ValueError(f"residue {v} is outside [0, {p})")
     return CubeFunction(n, field, values)

@@ -3,6 +3,8 @@
 Values are plain residues, ints in [0, p); exact rationals (needed by the
 characteristic-0 experiments) are ``fractions.Fraction``.  ``FieldElement``
 is only a record of a residue and its field, returned by the local decoder.
+Arrays of residues have the dtype ``residue_dtype(p)`` and add with
+``add_mod``, which never widens them.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 # Products of two residues must fit comfortably in 64-bit intermediates.
 MAX_MODULUS = 1 << 31
@@ -63,6 +67,24 @@ class FieldElement(NamedTuple):
 
     residue: int
     field: PrimeField
+
+
+def residue_dtype(p: int) -> type:
+    """The dtype of residue arrays over F_p: uint8 below 256, else int64."""
+    return np.uint8 if p < 256 else np.int64
+
+
+def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a + b) mod p for residue arrays of one dtype, without widening."""
+    if p == 2:
+        return a ^ b
+    s = a + b
+    if s.dtype == np.uint8 and p <= 128:
+        # s < 2p <= 256 does not wrap; s - p wraps above s exactly when s < p.
+        return np.minimum(s, s - np.uint8(p), out=s)
+    # Past p = 128 a uint8 sum may wrap, and s - p wraps back, so s - p is
+    # exact wherever a + b >= p; int64 sums of residues below 2^31 never wrap.
+    return np.where(a >= p - b, s - p, s)
 
 
 def row_reduce(rows: list[list[int]], cols: int,

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .cube import CubeFunction
-from .field import PrimeField
+from .field import PrimeField, add_mod, residue_dtype
 
 
 def subsets_up_to(n: int, d: int, least: int = 0) -> list[int]:
@@ -69,17 +69,15 @@ class MultilinearPoly:
         """Dense evaluation over the whole cube via the subset zeta transform.
 
         Direction i adds the half with bit i clear into the half with bit i
-        set and reduces it mod p.  Both halves hold residues below p < 2^31,
-        so every sum stays below 2^32 and int64 never overflows.
+        set, mod p, with ``field.add_mod`` in the residue dtype: uint8 below
+        256, xor over F_2.
         """
         p = self.field.p
-        values = np.zeros(1 << self.n, dtype=np.int64)
+        values = np.zeros(1 << self.n, dtype=residue_dtype(p))
         values[list(self.coeffs)] = list(self.coeffs.values())
         for i in range(self.n):
             view = values.reshape(-1, 2, 1 << i)
-            upper = view[:, 1, :]
-            upper += view[:, 0, :]
-            upper %= p
+            view[:, 1, :] = add_mod(view[:, 1, :], view[:, 0, :], p)
         return CubeFunction(self.n, self.field, values.tolist())
 
     def __eq__(self, other):

@@ -25,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import CubeFunction, restriction_query_masks
-from .field import PrimeField, binomial_sum
-from .oracle import (CodeEnumeration, _weighted_counts, code_fits, nearest_codeword,
-                     residue_dtype)
+from .field import PrimeField, binomial_sum, residue_dtype
+from .oracle import CodeEnumeration, _weighted_counts, code_fits, nearest_codeword
 from .poly import MultilinearPoly
 from .restrict import Restriction, uniform_buckets
 from .tester import TesterParams, amplified_test

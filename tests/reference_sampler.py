@@ -1,10 +1,10 @@
 """The recursive bucket-process sampler written plainly, shared by the tests:
 the reference for the random calls and the output of
 ``restrict.sample_restriction_recursive``, and the only source of its merge
-steps; plain forms of ``restrict.uniform_buckets`` and of the cycle
-sampler's draw, written with ``random``'s own bounded-integer calls; and
-``restriction_from_phi``, which builds a restriction from an explicit
-variable map."""
+steps; plain forms of ``restrict.uniform_buckets``, of the cycle
+sampler's draw and of ``cube.corruption_offsets``, written with ``random``'s
+own sampling and bounded-integer calls; and ``restriction_from_phi``, which
+builds a restriction from an explicit variable map."""
 
 from __future__ import annotations
 
@@ -67,3 +67,11 @@ def reference_cycle(r, k, rng):
     rest = [e for e in range(r) if e != entry]
     rng.shuffle(rest)
     return entry, rest
+
+
+def reference_corruption_offsets(n, p, flips, rng):
+    """``rng.sample`` of flips positions of {0,1}^n, then one
+    ``rng._randbelow(p - 1)`` per position in sampled order, as offsets in
+    [1, p)."""
+    positions = rng.sample(range(1 << n), flips)
+    return {pos: 1 + rng._randbelow(p - 1) for pos in positions}

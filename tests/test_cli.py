@@ -559,6 +559,14 @@ _TOLERANT = "tolerant --d 1 --delta1 0 --delta2 1/5"
     (f"test --n 8 --d 1 --k {_BIG}", f"need n > k, got n=8, k={_BIG}"),
     ("tolerant --n 8 --d 1000000 --delta1 0 --delta2 1/5",
      "need 0 <= d <= n, got d=1000000, n=8"),
+    # the per-trial query budget: 2^29 tester reads, the screen's 2^3 reads
+    # 10^9 times, and a sample of 10^40 points
+    ("test --n 30 --d 1 --k 29",
+     "the tester needs 536870912 queries per trial (budget 1000000)"),
+    (f"{_TOLERANT} --n 9 --reps 1000000000",
+     "tolerant testing needs 8000000106 queries per trial (budget 1000000)"),
+    (f"{_TOLERANT} --n 9 --m {_BIG}",
+     f"tolerant testing needs {10**40 + 8} queries per trial (budget 1000000)"),
 ])
 def test_out_of_range_sizes_fail_at_once(argv, message):
     # checked where the run's parameters are built, before any polynomial is drawn

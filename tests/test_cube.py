@@ -174,6 +174,27 @@ def test_values_normalised_to_residues():
     assert CubeFunction(2, F5, [0, 1, 2, 3]).values == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("p", [2, 5, 127, 131, 251, 257])
+def test_values_reduce_mod_p_around_every_check_edge(p):
+    # the byte pack fails outside [0, 256) and the byte filter at p, so every
+    # value near 0, p and 256 takes the reduction
+    edges = sorted({e + s for e in (0, p - 1, p, 255, 256, -p, -256) for s in (-1, 0, 1)})
+    values = edges + [0] * (64 - len(edges))
+    assert CubeFunction(6, PrimeField(p), list(values)).values == [v % p for v in values]
+    for v in edges:
+        single = [0] * 7 + [v]
+        reduced = CubeFunction(3, PrimeField(p), single).values
+        assert reduced == [0] * 7 + [v % p] and type(reduced[7]) is int
+
+
+@pytest.mark.parametrize("p, bad", [(2, 2), (3, 3), (131, 131), (251, 251), (251, 256),
+                                    (257, 257), (257, 10**30)])
+def test_read_truth_table_rejects_every_residue_from_p_on(p, bad):
+    with pytest.raises(ValueError, match=rf"^residue {bad} is outside \[0, {p}\)$"):
+        read_truth_table(io.StringIO(f"1 {p}\n{p - 1} {bad}\n"))
+    assert read_truth_table(io.StringIO(f"1 {p}\n{p - 1} 0\n")).values == [p - 1, 0]
+
+
 @pytest.mark.parametrize(
     "text, token",
     [

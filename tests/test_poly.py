@@ -213,7 +213,7 @@ def _reference_zeta(poly):
     return values
 
 
-TABLE_PRIMES = [2, 3, 5, 131, 257, 2**31 - 1]
+TABLE_PRIMES = [2, 3, 5, 127, 131, 251, 257, 2**31 - 1]
 
 
 def reference_moebius(values, n, p):

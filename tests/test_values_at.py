@@ -5,6 +5,7 @@ The tester, the decoder and the tolerant tester read f only through
 same values, transcripts and random stream as the table it replaces.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,17 +25,12 @@ from gridcode.field import PrimeField
 from gridcode.poly import CorruptedPoly, MultilinearPoly, PolyPoints, random_poly
 from gridcode.tester import TesterParams, run_test_once
 from gridcode.tolerant import TolerantParams, tolerant_test
+from reference_sampler import reference_corruption_offsets
 
 DELTAS = (Fraction(0), Fraction(1, 100), Fraction(1, 4), Fraction(1))
 CASES = [(n, d, p) for n, d, p in
          ((6, 1, 2), (7, 2, 2), (10, 1, 2), (10, 3, 2), (6, 1, 3), (9, 2, 3),
           (5, 1, 5), (8, 2, 5))]
-
-
-def _reference_offsets(n, p, delta, rng):
-    """The random calls of the table corruption, written out longhand."""
-    positions = rng.sample(range(1 << n), int(Fraction(delta) * (1 << n)))
-    return {pos: rng.randrange(1, p) for pos in positions}
 
 
 def _pair(n, d, p, delta, seed, tabled=False):
@@ -56,10 +52,43 @@ def test_corruption_offsets_make_the_reference_random_calls(p, delta):
     for seed in range(5):
         ours, reference = random.Random(seed), random.Random(seed)
         offsets = corruption_offsets(9, p, delta, ours)
-        assert offsets == _reference_offsets(9, p, delta, reference)
+        assert offsets == reference_corruption_offsets(9, p, int(delta * 512), reference)
         assert ours.getstate() == reference.getstate()
         assert all(1 <= v < p for v in offsets.values())
         assert len(offsets) == int(delta * 512)
+
+
+# Flip counts f at which Random.sample's choice between its pool and its set
+# of picks can change: f = 6, where the set's size first grows with f, and
+# each f with 3f just past a power of 4.
+_SAMPLE_SWITCHES = (6, 22, 86, 342, 1366)
+
+
+def _flip_counts(n):
+    """Every flip count on up to 2^10 points; on larger cubes the counts
+    within 2 of each switch and of the ends."""
+    size = 1 << n
+    if n <= 10:
+        return range(size + 1)
+    near = {f + e for f in (0, *_SAMPLE_SWITCHES, size) for e in range(-2, 3)}
+    return sorted(f for f in near if 0 <= f <= size)
+
+
+@pytest.mark.parametrize("p", (2, 3, 257))
+def test_corruption_offsets_match_the_sample_reference(p):
+    # the direct getrandbits draws against rng.sample and rng._randbelow,
+    # across the sample's switch between its pool and its set on every cube
+    methods = set()
+    for n in range(1, 13):
+        for flips in _flip_counts(n):
+            ours, reference = random.Random(flips << 4 | n), random.Random(flips << 4 | n)
+            offsets = corruption_offsets(n, p, Fraction(flips, 1 << n), ours)
+            assert list(offsets.items()) == list(
+                reference_corruption_offsets(n, p, flips, reference).items()), (n, flips)
+            assert ours.getstate() == reference.getstate(), (n, flips)
+            setsize = 21 + (4 ** math.ceil(math.log(3 * flips, 4)) if flips > 5 else 0)
+            methods.add((n, (1 << n) <= setsize))
+    assert all((n, pool) in methods for n in range(5, 13) for pool in (False, True))
 
 
 def test_corruption_offsets_validate():
