@@ -24,9 +24,9 @@ MAX_VARIABLES = 30
 
 def _in_range(values: list, p: int) -> bool:
     """Whether every value of a list of ints lies in [0, p), in one C-speed
-    pass: below p = 257 the values are packed as bytes, which fails for any
-    value outside [0, 256), and deleting the bytes below p must leave none;
-    above it, one min and one max."""
+    pass: for p up to 256 the values are packed as bytes, which fails for
+    any value outside [0, 256), and deleting the bytes below p must leave
+    none; above 256, one min and one max."""
     if p <= 256:
         try:
             return not bytearray(values).translate(None, bytes(range(p)))
