@@ -444,7 +444,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     and tolerant derive from them and, for the trial subcommands, the run's
     parameter object, checked against n and its budgets before any trial:
     every trial of test, decode and tolerant reads at most
-    ``decoder.QUERY_BUDGET`` points of its input."""
+    ``decoder.QUERY_BUDGET`` points of its input.  Sampled buckets, span and
+    witness check the size of what they are asked to build the same way,
+    before any random draw."""
     sub = args.subcommand
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -484,6 +486,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         check_budget([run_params.max_queries], decoder.QUERY_BUDGET,
                      "tolerant testing needs {count} queries per trial")
         params["k"], params["m"] = run_params.k, run_params.m
+    elif sub == "buckets" and not args.exact:
+        check_budget([args.r], restrict.SAMPLED_ELEMENTS[args.process],
+                     f"{args.process} sampling places {{count}} elements per trial")
+    elif sub == "span":
+        lowerbound.check_span_size(args.n, args.count, args.t, args.budget)
+    elif sub == "witness":
+        dualwitness.check_witness_size(args.k, args.d)
     return ExperimentConfig(sub, params, run_params, args.seed, args.trials, args.out, args.format)
 
 

@@ -13,9 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError
+from .cube import MAX_VARIABLES
+from .errors import CapacityError, check_budget
 from .field import PrimeField, binomial_sum, row_reduce
 from .poly import subsets_up_to
+
+# Most support points, C(k, <=d) + 1, that a witness may need: the kernel's
+# row reduction is cubic in them (~4 s at C(20, <=3) + 1 = 1,352 points on
+# a 2-vCPU VM).
+SUPPORT_BUDGET = 1500
 
 
 def hamming(a: int, b: int) -> int:
@@ -55,6 +61,15 @@ def greedy_code(k: int, lo: int, hi: int, target_size: int) -> list[int]:
         f"greedy window [{lo}, {hi}] packed only {len(kept)} of {target_size} "
         f"points in {{0,1}}^{k}"
     )
+
+
+def check_witness_size(k: int, d: int) -> None:
+    """Raise unless a degree-d witness in {0,1}^k is within reach: k in
+    [1, ``MAX_VARIABLES``], as the greedy code scans {0,1}^k, and at most
+    ``SUPPORT_BUDGET`` support points."""
+    if not 1 <= k <= MAX_VARIABLES:
+        raise ValueError(f"k must be in [1, {MAX_VARIABLES}], got {k}")
+    check_budget([binomial_sum(k, d) + 1], SUPPORT_BUDGET, "a witness needs {count} support points")
 
 
 def _evaluation_rows(k: int, d: int, points) -> list[list[int]]:

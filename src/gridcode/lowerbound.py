@@ -30,6 +30,11 @@ ALL_PLUS_ONES = 0  # mask of the +1^n vector
 # Most subsets C(len(candidates), <=t) a span scan may check.
 SPAN_BUDGET = 10**6
 
+# Most coordinates of a span instance: each vector is an n-bit int and the
+# sampler's balance table has n + 1 entries, so the million vectors that
+# the default budget admits at t = 1 stay within ~0.6 GB.
+MAX_SPAN_VARIABLES = 1 << 12
+
 
 def coordinate_sum(mask: int, n: int) -> int:
     """Sum over Z of the +-1 coordinates encoded by the mask."""
@@ -41,6 +46,16 @@ def span_exponent(s: float) -> int:
     if s <= math.e:
         return 1
     return int(math.log(s) / math.log(math.log(s)))
+
+
+def check_span_size(n: int, count: int, t: int, budget: int) -> None:
+    """Raise unless a span instance of ``count`` vectors in {-1,1}^n is
+    within reach: n in [1, ``MAX_SPAN_VARIABLES``] and at most ``budget``
+    subsets of at most t vectors (none of more than ``count``)."""
+    if not 1 <= n <= MAX_SPAN_VARIABLES:
+        raise ValueError(f"n must be in [1, {MAX_SPAN_VARIABLES}], got {n}")
+    check_budget(itertools.accumulate(math.comb(count, u) for u in range(1, min(t, count) + 1)),
+                 budget, "span scan needs {count} subsets")
 
 
 def sample_balanced_vectors(n: int, s: int, count: int, rng) -> list[int]:
@@ -311,8 +326,7 @@ def t_span_contains(
         raise ValueError(f"t must be at least 1, got {t}")
     if t > len(candidates):
         raise ValueError("t cannot exceed the candidate count")
-    check_budget(itertools.accumulate(math.comb(len(candidates), u) for u in range(1, t + 1)),
-                 budget, "span scan needs {count} subsets")
+    check_span_size(n, len(candidates), t, budget)
     if target != ALL_PLUS_ONES:
         raise ValueError("only the all-plus-ones target is supported")
 

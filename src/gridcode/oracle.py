@@ -251,9 +251,10 @@ def _histogram_nearest(code: CodeEnumeration, table: np.ndarray,
     hist'[a_i, ..., t] = hist[x_i = 0, ..., t] + hist[x_i = 1, ..., t + a_i mod p],
     so at the end hist[a, c] is the weight of {x : f(x) - a.x = c}, the
     agreement of f with the codeword c + a.x.  Coefficients come out with
-    a_1 most significant and c is moved in front, which is index order, so
-    the first maximum keeps the tie-break of ``_min_disagreement``.
-    O(p^(k+1)) work.
+    a_1 most significant, so that codeword's index is c p^k + a.  The
+    maximum is found on hist as laid out, with no copy, and only when
+    several entries reach it are they mapped to their indices; the smallest
+    wins, the tie-break of ``_min_disagreement``.  O(p^(k+1)) work.
 
     Each step eliminates the lowest g coordinates left with one float64
     product against the cached ``_group_matrix(p, g)``, which BLAS runs;
@@ -295,10 +296,16 @@ def _histogram_nearest(code: CodeEnumeration, table: np.ndarray,
             hist = np.take(halves[..., 1], shift, axis=1)
             hist += halves[:, None, :, :, 0]
             hist = hist.reshape(p ** (i + 1), p, -1)
-    agree = hist.reshape(-1, p).T.ravel()
-    best = int(np.argmax(agree))
+    agree = hist.reshape(-1)
+    j = int(agree.argmax())
+    tied = agree == agree[j]
+    if np.count_nonzero(tied) > 1:
+        # the tied entries in (a, c) order: the first with the smallest c
+        # has the smallest index
+        tied = np.flatnonzero(tied)
+        j = int(tied[(tied % p).argmin()])
     total = 1 << k if weights is None else int(weights.sum())
-    return best, total - int(agree[best])
+    return j % p * p ** k + j // p, total - int(agree[j])
 
 
 # Sylvester's Hadamard matrix H[a, x] = (-1)^|a & x| on 6 bits; its leading

@@ -51,11 +51,17 @@ class MultilinearPoly:
         self.field = field
         self.coeffs = clean
 
+    @classmethod
+    def _of_residues(cls, n: int, field: PrimeField, coeffs: dict[int, int]) -> "MultilinearPoly":
+        """The polynomial of ``coeffs``, taken as they are: nonzero residues
+        mod p at masks below 2^n, as ``__init__`` would leave them."""
+        poly = cls.__new__(cls)
+        poly.n, poly.field, poly.coeffs = n, field, coeffs
+        return poly
+
     def degree(self) -> int:
         """Largest monomial size with a nonzero coefficient (0 if none)."""
-        if not self.coeffs:
-            return 0
-        return max(m.bit_count() for m in self.coeffs)
+        return max(map(int.bit_count, self.coeffs), default=0)
 
     def evaluate_residue(self, x_mask: int) -> int:
         """Value at the point with the given mask, as a raw residue."""
@@ -164,36 +170,60 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
     """The unique multilinear polynomial agreeing with f on the whole cube.
 
     Moebius inversion: alpha_S = sum_{T subseteq S} (-1)^{|S|-|T|} f(1_T),
-    computed in place one direction at a time, one subtraction mod p per
-    pair of ``_moebius_pairs``.
+    one direction at a time on the residues packed into lanes of one
+    Python int, value m in lane m (``_lane_bytes(p)`` bytes each, so
+    p < 2^(lane bits - 1)).  Direction i shifts the lanes whose index has
+    bit i clear onto their partners.  Over F_2 that is one xor.  Over odd
+    p each lane becomes value + p - moved, in [1, 2p), and p comes off
+    each lane that reaches p, read from its top bit after adding
+    2^(lane bits - 1) - p.  No carry or borrow crosses a lane, so the
+    coefficients come out as residues and go into the polynomial as they
+    are.
     """
-    p = f.field.p
-    coeffs = list(f.values)
-    for m, low in _moebius_pairs(f.n):
-        coeffs[m] = (coeffs[m] - coeffs[low]) % p
-    return MultilinearPoly(f.n, f.field, {m: c for m, c in enumerate(coeffs) if c})
+    n, p = f.n, f.field.p
+    width = _lane_bytes(p)
+    masks = _lane_masks if n <= _CACHED_LANE_VARIABLES else _lane_masks.__wrapped__
+    ones, steps = masks(n, width)
+    if width == 1:
+        packed = int.from_bytes(bytes(f.values), "little")
+    else:
+        packed = int.from_bytes(np.array(f.values, dtype=f"<u{width}").tobytes(), "little")
+    if p == 2:
+        for clear, shift in steps:
+            packed ^= (packed & clear) << shift
+    else:
+        top = 8 * width - 1
+        plus_p, to_top, tops = p * ones, ((1 << top) - p) * ones, ones << top
+        for clear, shift in steps:
+            packed += plus_p - ((packed & clear) << shift)
+            packed -= (((packed + to_top) & tops) >> top) * p
+    data = packed.to_bytes(width << n, "little")
+    lanes = data if width == 1 else np.frombuffer(data, dtype=f"<u{width}").tolist()
+    coeffs = dict(itertools.compress(enumerate(lanes), lanes))
+    return MultilinearPoly._of_residues(n, f.field, coeffs)
 
 
-# Largest cube, in points, whose Moebius pairs are cached: a table holds
-# n 2^(n-1) pairs (24,576 at n = 12); larger cubes stream them.
-_PAIR_TABLE_POINTS = 1 << 12
-_PAIR_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
+def _lane_bytes(p: int) -> int:
+    """Bytes per lane of the packed Moebius pass over F_p: the fewest of 1,
+    2 and 4 with p < 2^(lane bits - 1)."""
+    return 1 if p < 1 << 7 else 2 if p < 1 << 15 else 4
 
 
-def _moebius_pairs(n: int):
-    """The (m, m ^ bit) pairs of the Moebius pass on {0,1}^n: direction
-    bit = 1 << i for i = 0..n-1 in turn, and within it every m holding bit in
-    ascending order.  A tuple cached per n up to ``_PAIR_TABLE_POINTS``
-    points, a generator beyond."""
-    table = _PAIR_TABLES.get(n)
-    if table is not None:
-        return table
-    pairs = ((low | bit, low) for bit in (1 << i for i in range(n))
-             for low in range(1 << n) if not low & bit)
-    if 1 << n > _PAIR_TABLE_POINTS:
-        return pairs
-    table = _PAIR_TABLES[n] = tuple(pairs)
-    return table
+# Most variables whose lane masks are cached: n + 1 masks of 2^n lanes
+# each, ~208 KB at n = 12 with 4-byte lanes; larger cubes build them per call.
+_CACHED_LANE_VARIABLES = 12
+
+
+@functools.lru_cache(maxsize=32)
+def _lane_masks(n: int, width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The masks of the packed Moebius pass on {0,1}^n with lanes of
+    ``width`` bytes: the lowest bit of every lane, and per direction i the
+    mask of every bit of the lanes whose index has bit i clear, with the
+    shift in bits that moves such a lane onto its partner."""
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * (1 << n), "little")
+    steps = tuple((int.from_bytes((b"\xff" * (width << i) + bytes(width << i)) * (1 << (n - 1 - i)),
+                                  "little"), (8 * width) << i) for i in range(n))
+    return ones, steps
 
 
 def identify_variables(poly: MultilinearPoly, i: int, j: int, b: int) -> MultilinearPoly:

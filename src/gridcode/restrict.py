@@ -349,6 +349,12 @@ BUCKET_PROCESSES = {
 # Most equally likely outcomes an exact bucket enumeration may walk.
 BUCKET_BUDGET = 10**7
 
+# Most elements one sampled trial of each process may place: the direct and
+# cycle samplers draw once per element (~0.6 s at 10^6 on a 2-vCPU VM), and
+# the recursive one also keeps an r-bit mask per element, past 1 GiB at
+# r = 10^5.
+SAMPLED_ELEMENTS = {"direct": 10**6, "cycle": 10**6, "recursive": 10**4}
+
 
 def exact_bucket_distribution(r: int, k: int, process: str = "direct") -> dict:
     """Exact sorted-size distribution of a bucket process from its enumerator;

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -567,10 +568,26 @@ _TOLERANT = "tolerant --d 1 --delta1 0 --delta2 1/5"
      "tolerant testing needs 8000000106 queries per trial (budget 1000000)"),
     (f"{_TOLERANT} --n 9 --m {_BIG}",
      f"tolerant testing needs {10**40 + 8} queries per trial (budget 1000000)"),
+    # a witness's cube and its support, the span instance's coordinates and
+    # subsets, and the elements of one sampled bucket trial
+    (f"witness --d 1 --k {_BIG}", f"k must be in [1, 30], got {_BIG}"),
+    ("witness --d 1 --k 1000000", "k must be in [1, 30], got 1000000"),
+    ("witness --d 5 --k 30", "a witness needs 174438 support points (budget 1500)"),
+    (f"span --n 10 --s 2 --t 2 --count {_BIG}",
+     f"span scan needs {math.comb(10**40, 1) + math.comb(10**40, 2)} subsets (budget 1000000)"),
+    (f"span --n {_BIG} --s 2 --t 2", f"n must be in [1, 4096], got {_BIG}"),
+    ("buckets --r 1000000000 --k 4",
+     "direct sampling places 1000000000 elements per trial (budget 1000000)"),
+    (f"buckets --r {_BIG} --k 4 --process cycle",
+     f"cycle sampling places {_BIG} elements per trial (budget 1000000)"),
+    ("buckets --r 100000 --k 4 --process recursive",
+     "recursive sampling places 100000 elements per trial (budget 10000)"),
 ])
 def test_out_of_range_sizes_fail_at_once(argv, message):
-    # checked where the run's parameters are built, before any polynomial is drawn
-    run = _bounded_main(f"{argv} --delta 0 --trials 1")
+    # checked where the run's parameters are built, before any polynomial or
+    # vector is drawn
+    delta = " --delta 0" if argv.split()[0] in ("test", "decode", "tolerant") else ""
+    run = _bounded_main(f"{argv}{delta} --trials 1")
     assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
 
 

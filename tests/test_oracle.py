@@ -384,6 +384,38 @@ def test_grouped_elimination_matches_block_scan_at_group_boundaries():
             assert matrix.size <= oracle._GROUP_ENTRIES <= 1 << 16
 
 
+# Codes whose block scan the tie test can afford: up to this many codewords,
+# which is k <= 9 at p = 3, k <= 6 at p = 5 and k <= 4 at p = 7.
+TIE_SCAN_CODEWORDS = 10**5
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_histogram_ties_match_block_scan(p):
+    # Constants, a table half away from an affine function and x_1 x_k tie
+    # many codewords, the more so under the weights of a sample of k points,
+    # which are zero elsewhere; the histogram must keep the scan's smallest
+    # index among them.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    cases = tied = 0
+    for k in itertools.takewhile(lambda k: p ** (k + 1) <= TIE_SCAN_CODEWORDS, itertools.count(1)):
+        code = CodeEnumeration(k, 1, field)
+        half = corrupt(random_poly(k, 1, field, rng).truth_table(), Fraction(1, 2), rng).values
+        product = [p - 1 if x & 1 and x >> (k - 1) & 1 else 0 for x in range(1 << k)]
+        sample = np.bincount([rng.randrange(1 << k) for _ in range(k)], minlength=1 << k)
+        for values in [[c] * (1 << k) for c in range(p)] + [half, product]:
+            table = np.asarray(values, dtype=np.uint8)
+            for w in (None, sample):
+                reference = np.ones(1 << k, np.int64) if w is None else w
+                expected = _min_disagreement(code, range(1 << k), table, reference)
+                assert nearest_codeword(code, table, w) == expected, (k, values, w)
+                tied += sum(int(np.count_nonzero(_weighted_counts(block != table, reference)
+                                                 == expected[1]))
+                            for _, block in code.iter_value_blocks(range(1 << k))) > 1
+                cases += 1
+    assert cases == {3: 9, 5: 6, 7: 4}[p] * 2 * (p + 2) and tied > cases // 2
+
+
 @pytest.mark.parametrize("p", [251, 257])
 def test_exact_delta_d_on_both_table_dtypes(p):
     # p = 251 reads the table as bytes, p = 257 as int64

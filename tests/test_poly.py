@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cube_util import constant_function
-from gridcode import poly as poly_module
 from gridcode.cube import CubeFunction
 from gridcode.field import PrimeField
 from gridcode.poly import (
@@ -227,17 +226,27 @@ def reference_moebius(values, n, p):
     return coeffs
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+# The lane widths of the packed pass and their edges: 1 byte below 128,
+# 2 below 2^15, 4 above.
+MOEBIUS_PRIMES = [2, 3, 5, 127, 131, 32749, 32771, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", MOEBIUS_PRIMES)
 def test_from_truth_table_matches_reference_moebius(p):
     field = PrimeField(p)
     rng = random.Random(p)
-    # n = 13 is past the largest cached pair table
-    for n in [*range(1, 10), 13]:
-        for values in ([rng.randrange(p) for _ in range(1 << n)], [p - 1] * (1 << n)):
+    # n = 13 is past the largest cube whose lane masks are cached
+    sizes = [*range(1, 10), 13, 16] if p == 2 else [*range(1, 10), 13]
+    for n in sizes:
+        for values in ([rng.randrange(p) for _ in range(1 << n)], [p - 1] * (1 << n),
+                       [0] * (1 << n)):
             coeffs = reference_moebius(values, n, p)
             expected = {m: c for m, c in enumerate(coeffs) if c}
-            assert from_truth_table(CubeFunction(n, field, values)).coeffs == expected
-    assert all(1 << n <= poly_module._PAIR_TABLE_POINTS for n in poly_module._PAIR_TABLES)
+            poly = from_truth_table(CubeFunction(n, field, values))
+            assert poly.coeffs == expected
+            assert all(type(m) is int and type(c) is int for m, c in poly.coeffs.items())
+            assert poly == MultilinearPoly(n, field, expected)
+            assert poly.degree() == MultilinearPoly(n, field, expected).degree()
 
 
 def _check_truth_table(poly, points):
