@@ -171,8 +171,8 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
 
     Moebius inversion: alpha_S = sum_{T subseteq S} (-1)^{|S|-|T|} f(1_T),
     one direction at a time on the residues packed into lanes of one
-    Python int, value m in lane m (``_lane_bytes(p)`` bytes each, so
-    p < 2^(lane bits - 1)).  Direction i shifts the lanes whose index has
+    Python int, value m in lane m: 1 byte for p < 2^7, 2 for p < 2^15 and
+    4 above, so p < 2^(lane bits - 1).  Direction i shifts the lanes whose index has
     bit i clear onto their partners.  Over F_2 that is one xor.  Over odd
     p each lane becomes value + p - moved, in [1, 2p), and p comes off
     each lane that reaches p, read from its top bit after adding
@@ -181,7 +181,7 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
     are.
     """
     n, p = f.n, f.field.p
-    width = _lane_bytes(p)
+    width = 1 if p < 1 << 7 else 2 if p < 1 << 15 else 4
     masks = _lane_masks if n <= _CACHED_LANE_VARIABLES else _lane_masks.__wrapped__
     ones, steps = masks(n, width)
     if width == 1:
@@ -201,12 +201,6 @@ def from_truth_table(f: CubeFunction) -> MultilinearPoly:
     lanes = data if width == 1 else np.frombuffer(data, dtype=f"<u{width}").tolist()
     coeffs = dict(itertools.compress(enumerate(lanes), lanes))
     return MultilinearPoly._of_residues(n, f.field, coeffs)
-
-
-def _lane_bytes(p: int) -> int:
-    """Bytes per lane of the packed Moebius pass over F_p: the fewest of 1,
-    2 and 4 with p < 2^(lane bits - 1)."""
-    return 1 if p < 1 << 7 else 2 if p < 1 << 15 else 4
 
 
 # Most variables whose lane masks are cached: n + 1 masks of 2^n lanes
